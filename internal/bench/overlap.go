@@ -15,9 +15,9 @@ import (
 	"kali/internal/topology"
 )
 
-// Overlap measures the split-phase executors and the cross-loop
-// aggregation built on them: the same cached schedules replayed with
-// communication/computation overlap (ISend posts before the interior
+// Overlap measures split-phase execution and the cross-loop
+// aggregation built on it: the same cached schedules replayed with
+// communication/computation overlap (posted sends before the interior
 // sweep, completion-order drain before the boundary) against the
 // phase-synchronous oracle (-overlap=off), and the overlapped run
 // again with adjacent loops fused into one aggregated send per

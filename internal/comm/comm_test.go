@@ -111,8 +111,8 @@ func TestSendersAndRangesFrom(t *testing.T) {
 	if got := in.RangesFrom(2); len(got) != 0 {
 		t.Fatalf("RangesFrom(2) = %v", got)
 	}
-	if in.BytesFrom(3) != 16 {
-		t.Fatalf("BytesFrom(3) = %d", in.BytesFrom(3))
+	if in.CountFrom(3) != 2 {
+		t.Fatalf("CountFrom(3) = %d", in.CountFrom(3))
 	}
 }
 

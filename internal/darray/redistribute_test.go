@@ -129,6 +129,7 @@ func TestRedistributeReplayAllocationFree(t *testing.T) {
 	defer debug.SetGCPercent(old)
 
 	var mallocs uint64
+	var news int64
 	var mu sync.Mutex
 	mach.Run(func(nd *machine.Node) {
 		f := func(i, j int) float64 { return float64(i*100 + j) }
@@ -150,6 +151,7 @@ func TestRedistributeReplayAllocationFree(t *testing.T) {
 		nd.Barrier()
 		if nd.ID() == 0 {
 			runtime.ReadMemStats(&before)
+			news = storeOf(nd).pool.Stats().News
 		}
 		nd.Barrier()
 		for k := 0; k < reps; k++ {
@@ -163,14 +165,15 @@ func TestRedistributeReplayAllocationFree(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			mu.Lock()
 			mallocs = after.Mallocs - before.Mallocs
+			news = storeOf(nd).pool.Stats().News - news
 			mu.Unlock()
 		}
 		nd.Barrier()
 		check2(t, nd, a, n, f)
 	})
 	if mallocs != 0 {
-		t.Errorf("cached redistribution replay allocated: %d mallocs over %d ping-pong cycles on %d nodes (want 0)",
-			mallocs, reps, p)
+		t.Errorf("cached redistribution replay allocated: %d mallocs over %d ping-pong cycles on %d nodes (want 0; pool News +%d)",
+			mallocs, reps, p, news)
 	}
 }
 

@@ -144,53 +144,11 @@ func sortedKeys(m map[int]index.Set) []int {
 	return out
 }
 
-// finalizePeers precomputes every communication partner and message
-// size once at build time — per slot (outPeers/inPeers, for the
-// NoCombine ablation) and combined across slots (sendTo/recvFrom, for
-// the default coalesced one-message-per-processor-pair path) — so the
-// replay hot path never walks maps or allocates peer lists.
+// finalizePeers lays out the schedule's one-loop section plan for the
+// default combined layout once at build time, so the replay hot path
+// never walks range records, maps or an LRU for a single loop.
 func finalizePeers(s *Schedule) {
-	sendAll := map[int]int{}
-	recvAll := map[int]int{}
-	for _, as := range s.arrays {
-		for _, q := range as.out.Receivers() {
-			n := as.out.CountTo(q)
-			as.outPeers = append(as.outPeers, peerCount{q, n})
-			sendAll[q] += n
-		}
-		for _, q := range as.in.Senders() {
-			n := as.in.CountFrom(q)
-			as.inPeers = append(as.inPeers, peerCount{q, n})
-			recvAll[q] += n
-		}
-	}
-	s.sendTo = peersOf(sendAll)
-	s.recvFrom = peersOf(recvAll)
-
-	// Preallocate the split-phase drain's pending-receive slots (both
-	// message layouts — which one runs is an executor-time choice), so
-	// overlap replay allocates nothing.
-	s.recvReqs = make([]machine.Request, len(s.recvFrom))
-	s.recvDone = make([]bool, len(s.recvFrom))
-	for i, pc := range s.recvFrom {
-		s.recvReqs[i] = machine.Request{From: pc.q, Tag: machine.TagData}
-	}
-	for k, as := range s.arrays {
-		for _, pc := range as.inPeers {
-			s.ncRecv = append(s.ncRecv, slotPeer{slot: k, pc: pc})
-			s.ncReqs = append(s.ncReqs, machine.Request{From: pc.q, Tag: tagFor(k)})
-		}
-	}
-	s.ncDone = make([]bool, len(s.ncReqs))
-}
-
-func peersOf(byQ map[int]int) []peerCount {
-	out := make([]peerCount, 0, len(byQ))
-	for q, n := range byQ {
-		out = append(out, peerCount{q, n})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].q < out[j].q })
-	return out
+	s.combined = buildPlan([]*Schedule{s}, false)
 }
 
 // routedRecs is the crystal-router payload: the in-records of array
@@ -391,183 +349,4 @@ func (e *Engine) exchange(parcels []crystal.Parcel) []crystal.Parcel {
 		}
 	}
 	return out
-}
-
-// payloadPool recycles executor message buffers.  It must be shared by
-// every engine (a buffer is acquired by the sender and released by the
-// receiver after unpacking), so it is package-global; being a plain
-// free list rather than a sync.Pool, it never drops buffers, and a
-// warmed communication pattern replays without allocating.
-var payloadPool comm.BufPool
-
-// execute runs the split-phase form of the paper's Figure 3 pipeline
-// with a prepared schedule, for loops of either rank: post sends →
-// compute interior (execLocal) → drain receives → compute boundary
-// (execNonlocal).  By default sends are nonblocking and the drain
-// completes peers as their messages arrive, so communication overlaps
-// the interior compute; with Engine.NoOverlap the same traffic moves
-// through blocking sends and a fixed-order drain — the paper's
-// phase-synchronous executor, kept as the differential oracle.  The
-// schedule is structural; the loop's own arrays are bound to its slots
-// here, in the same first-appearance order assembleArrays used, so a
-// shared schedule executes correctly against whichever loop adopted
-// it.  On the cached-replay path this function allocates nothing: the
-// Env, write log, peer lists, pending-receive slots, receive buffers
-// and message payloads are all reused.
-func (e *Engine) execute(c *loopCore, s *Schedule, env *Env) {
-	env.reset(e, c, s, modeExecLocal)
-	bindArrays(env, c)
-
-	e.postSends(s, env)
-
-	// Do local iterations (the interior — posted sends are in flight).
-	for _, it := range s.execLocal {
-		e.node.Charge(machine.Cost{LoopIters: 1})
-		c.run(it, env)
-	}
-
-	e.drainRecvs(c, s)
-
-	// Do nonlocal iterations.
-	env.mode = modeExecNonlocal
-	for k, it := range s.execNonlocal {
-		e.node.Charge(machine.Cost{LoopIters: 1})
-		if c.enumerate {
-			env.enumList = s.enum[k]
-			env.enumPos = 0
-		}
-		c.run(it, env)
-	}
-
-	// Commit buffered writes: copy-in/copy-out semantics.  Write2
-	// records coordinates so rank-2 commits skip the linear-index
-	// decomposition.
-	for _, w := range env.writes {
-		if w.i != 0 {
-			w.a.Set2(w.i, w.j, w.v)
-		} else {
-			w.a.SetLinear(w.g, w.v)
-		}
-	}
-	env.writes = env.writes[:0]
-}
-
-// bindArrays binds the loop's distinct read arrays to the schedule's
-// slots (appendDistinct order, the same the build used), reusing
-// env.arrays' backing storage.
-func bindArrays(env *Env, c *loopCore) {
-	env.arrays = appendDistinct(env.arrays[:0], c.reads)
-}
-
-// postSends ships this node's out sets: per-Range bulk copies from
-// local storage into a pooled payload.  The per-byte message charge
-// (paid at both ends by Send/Recv) covers the pack/unpack copies.  By
-// default all arrays' data for one destination travel in a single
-// combined message (the paper's message-combining), posted with ISend
-// so the wire time overlaps the interior compute; NoOverlap uses
-// blocking Send, NoCombine one message per (array, destination).
-func (e *Engine) postSends(s *Schedule, env *Env) {
-	if e.NoCombine {
-		for k, as := range s.arrays {
-			arr := env.arrays[k]
-			for _, pc := range as.outPeers {
-				pb := payloadPool.Get(pc.n)
-				off := 0
-				for _, r := range as.out.RangesTo(pc.q) {
-					arr.CopyLinearRange(r.Low, r.High, pb.Vals[off:off+r.Len()])
-					off += r.Len()
-				}
-				if e.NoOverlap {
-					e.node.Send(pc.q, tagFor(k), pb, 8*off)
-				} else {
-					e.node.ISend(pc.q, tagFor(k), pb, 8*off)
-				}
-			}
-		}
-		return
-	}
-	for _, pc := range s.sendTo {
-		pb := payloadPool.Get(pc.n)
-		off := 0
-		for k, as := range s.arrays {
-			arr := env.arrays[k]
-			for _, r := range as.out.RangesTo(pc.q) {
-				arr.CopyLinearRange(r.Low, r.High, pb.Vals[off:off+r.Len()])
-				off += r.Len()
-			}
-		}
-		if e.NoOverlap {
-			e.node.Send(pc.q, machine.TagData, pb, 8*off)
-		} else {
-			e.node.ISend(pc.q, machine.TagData, pb, 8*off)
-		}
-	}
-}
-
-// drainRecvs completes this node's in sets before the boundary pass;
-// each record lands in the slot's receive buffer with one bulk copy,
-// and the payload goes back to the pool.  The overlap drain waits on
-// all pending peers at once (schedule-preallocated request slots) and
-// unpacks whichever message is available — senders write disjoint
-// buffer regions, so completion order cannot change results; NoOverlap
-// drains in fixed ascending-peer order, blocking per peer.
-func (e *Engine) drainRecvs(c *loopCore, s *Schedule) {
-	switch {
-	case e.NoCombine && e.NoOverlap:
-		for k, as := range s.arrays {
-			for _, pc := range as.inPeers {
-				msg := e.node.Recv(pc.q, tagFor(k))
-				pb := msg.Payload.(*comm.Payload)
-				as.in.Unpack(pc.q, pb.Vals, as.buf)
-				payloadPool.Put(pb)
-			}
-		}
-	case e.NoCombine:
-		for i := range s.ncDone {
-			s.ncDone[i] = false
-		}
-		for range s.ncRecv {
-			i, msg := e.node.WaitAny(s.ncReqs, s.ncDone)
-			s.ncDone[i] = true
-			sp := s.ncRecv[i]
-			as := s.arrays[sp.slot]
-			pb := msg.Payload.(*comm.Payload)
-			as.in.Unpack(sp.pc.q, pb.Vals, as.buf)
-			payloadPool.Put(pb)
-		}
-	case e.NoOverlap:
-		for _, pc := range s.recvFrom {
-			msg := e.node.Recv(pc.q, machine.TagData)
-			e.unpackCombined(c, s, pc.q, msg)
-		}
-	default:
-		for i := range s.recvDone {
-			s.recvDone[i] = false
-		}
-		for range s.recvFrom {
-			i, msg := e.node.WaitAny(s.recvReqs, s.recvDone)
-			s.recvDone[i] = true
-			e.unpackCombined(c, s, s.recvFrom[i].q, msg)
-		}
-	}
-}
-
-// unpackCombined scatters one combined message from peer q into every
-// slot's receive buffer.
-func (e *Engine) unpackCombined(c *loopCore, s *Schedule, q int, msg machine.Message) {
-	pb := msg.Payload.(*comm.Payload)
-	off := 0
-	for _, as := range s.arrays {
-		n := as.in.CountFrom(q)
-		if n == 0 {
-			continue
-		}
-		as.in.Unpack(q, pb.Vals[off:off+n], as.buf)
-		off += n
-	}
-	if off != len(pb.Vals) {
-		panic(fmt.Sprintf("forall %s: combined message from %d has %d values, schedules expect %d",
-			c.name, q, len(pb.Vals), off))
-	}
-	payloadPool.Put(pb)
 }

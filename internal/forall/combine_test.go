@@ -1,6 +1,8 @@
 package forall
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"testing"
 
@@ -9,20 +11,21 @@ import (
 	"kali/internal/dist"
 	"kali/internal/machine"
 	"kali/internal/machine/sim"
+	"kali/internal/machine/wallclock"
 	"kali/internal/topology"
 )
 
 // runTwoArrayStencil executes a loop reading two arrays across the
-// same boundaries, with or without message combining, and returns the
-// results plus the total data-message count (crystal traffic excluded
-// by running the loop a second time from the cache and counting only
-// that execution).
-func runTwoArrayStencil(t *testing.T, noCombine bool) ([]float64, int) {
+// same boundaries on mach, with or without message combining and
+// overlap, and returns the results, the data-message count of one
+// execution (crystal traffic excluded by running the loop a second time
+// from the cache and counting only that execution), and the
+// machine-wide Stats of the whole run.
+func runTwoArrayStencil(t *testing.T, mach *machine.Machine, noCombine, noOverlap bool) ([]float64, int, machine.Stats) {
 	t.Helper()
-	const n, p = 24, 4
-	g := topology.MustGrid(p)
+	const n = 24
+	g := topology.MustGrid(mach.P())
 	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
-	mach := sim.MustNew(p, machine.Ideal())
 	result := make([]float64, n+1)
 	var mu sync.Mutex
 	msgs := 0
@@ -38,6 +41,7 @@ func runTwoArrayStencil(t *testing.T, noCombine bool) ([]float64, int) {
 		}
 		eng := NewEngine(nd)
 		eng.NoCombine = noCombine
+		eng.NoOverlap = noOverlap
 		loop := &Loop{
 			Name: "two-array", Lo: 1, Hi: n - 1,
 			On: out, OnF: analysis.Identity,
@@ -58,24 +62,61 @@ func runTwoArrayStencil(t *testing.T, noCombine bool) ([]float64, int) {
 		out.Dist().Pattern(0).Local(nd.ID()).Each(func(i int) { result[i] = out.Get1(i) })
 		mu.Unlock()
 	})
-	return result, msgs
+	return result, msgs, mach.TotalStats()
 }
 
 // TestCombineHalvesMessages: with two arrays crossing each boundary,
 // combining halves the message count (the paper's "saving on the
-// number of messages") without changing results.
+// number of messages") without changing results.  Each envelope layout
+// runs on both backends, split-phase and phase-synchronous: within a
+// layout the values are bit-identical and the Stats equal everywhere.
 func TestCombineHalvesMessages(t *testing.T) {
-	combined, mc := runTwoArrayStencil(t, false)
-	separate, ms := runTwoArrayStencil(t, true)
-	for i := 1; i < 24; i++ {
-		want := float64(i+1) * 101
-		if combined[i] != want || separate[i] != want {
-			t.Fatalf("i=%d: combined=%g separate=%g want=%g", i, combined[i], separate[i], want)
-		}
+	const p = 4
+	backends := []struct {
+		name string
+		mk   func() *machine.Machine
+	}{
+		{"sim", func() *machine.Machine { return sim.MustNew(p, machine.Ideal()) }},
+		{"wall", func() *machine.Machine { return wallclock.MustNew(p, machine.Ideal()) }},
 	}
 	// 3 boundary pairs, one direction each: combined = 3, separate = 6.
-	if mc != 3 || ms != 6 {
-		t.Fatalf("messages per execution: combined=%d separate=%d, want 3/6", mc, ms)
+	layouts := []struct {
+		name      string
+		noCombine bool
+		msgs      int
+	}{
+		{"combined", false, 3},
+		{"per-array", true, 6},
+	}
+	for _, lay := range layouts {
+		var refVals []float64
+		var refStats machine.Stats
+		for _, b := range backends {
+			for _, noOverlap := range []bool{false, true} {
+				cfg := fmt.Sprintf("%s/%s/noOverlap=%v", lay.name, b.name, noOverlap)
+				vals, msgs, st := runTwoArrayStencil(t, b.mk(), lay.noCombine, noOverlap)
+				for i := 1; i < 24; i++ {
+					if want := float64(i+1) * 101; vals[i] != want {
+						t.Fatalf("%s: i=%d got %g want %g", cfg, i, vals[i], want)
+					}
+				}
+				if msgs != lay.msgs {
+					t.Fatalf("%s: %d messages per execution, want %d", cfg, msgs, lay.msgs)
+				}
+				if refVals == nil {
+					refVals, refStats = vals, st
+					continue
+				}
+				for i := range vals {
+					if math.Float64bits(vals[i]) != math.Float64bits(refVals[i]) {
+						t.Fatalf("%s: value %d = %v differs from %v", cfg, i, vals[i], refVals[i])
+					}
+				}
+				if st != refStats {
+					t.Fatalf("%s: stats %+v differ from %+v", cfg, st, refStats)
+				}
+			}
+		}
 	}
 }
 

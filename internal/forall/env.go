@@ -64,7 +64,7 @@ type write struct {
 
 // reset prepares a (possibly pooled) Env for one execution.  The
 // arrays and writes slices keep their backing storage so a cached
-// replay allocates nothing; writes is empty here because execute
+// replay allocates nothing; writes is empty here because runWindow
 // truncates it after committing.
 func (e *Env) reset(eng *Engine, c *loopCore, s *Schedule, mode int) {
 	e.mode = mode

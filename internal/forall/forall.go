@@ -269,11 +269,6 @@ func (k BuildKind) String() string {
 	}
 }
 
-// peerCount is one precomputed communication partner: processor q and
-// the number of elements exchanged with it per execution.  Computing
-// these once at build time keeps the replay path allocation-free.
-type peerCount struct{ q, n int }
-
 // arraySched is the communication schedule of one read-array slot.  It
 // is purely structural — which loop array occupies the slot is bound
 // at execution time from the loop's reads, which is what lets whole
@@ -281,11 +276,9 @@ type peerCount struct{ q, n int }
 // arrays.  buf is the slot's receive buffer, allocated once at build
 // time and reused by every replay.
 type arraySched struct {
-	in       *comm.InSet
-	out      *comm.OutSet
-	buf      []float64
-	outPeers []peerCount // receivers of this slot's data, ascending
-	inPeers  []peerCount // senders of this slot's data, ascending
+	in  *comm.InSet
+	out *comm.OutSet
+	buf []float64
 }
 
 // enumRef is one resolved reference of a Saltz-style enumerated
@@ -295,14 +288,6 @@ type enumRef struct {
 	Slot int
 	G    int
 	Buf  int
-}
-
-// slotPeer is one (array slot, sending peer) pair of the NoCombine
-// receive schedule, flattened so the overlap drain can wait on all
-// slots' messages at once instead of slot by slot.
-type slotPeer struct {
-	slot int
-	pc   peerCount
 }
 
 // Schedule is the result of inspecting/analyzing one loop shape on one
@@ -317,21 +302,12 @@ type Schedule struct {
 	execNonlocal []iteration
 	arrays       []*arraySched
 	kind         BuildKind
-	// sendTo/recvFrom are the combined-message peers: the ascending
-	// union of all slots' receivers/senders with total element counts,
-	// precomputed so the executor sizes each coalesced message without
-	// allocating.
-	sendTo   []peerCount
-	recvFrom []peerCount
-	// Pending-receive slots for the split-phase drain, preallocated at
-	// build time so overlap replay stays zero-alloc: recvReqs/recvDone
-	// parallel recvFrom (combined messages), ncRecv/ncReqs/ncDone
-	// flatten every (slot, peer) of the NoCombine path.
-	recvReqs []machine.Request
-	recvDone []bool
-	ncRecv   []slotPeer
-	ncReqs   []machine.Request
-	ncDone   []bool
+	// combined and perArray are the schedule's one-loop section plans
+	// (exec.go) for the default and the NoCombine envelope layouts:
+	// finalizePeers builds the first, the executor the second on first
+	// NoCombine use.
+	combined *sectionPlan
+	perArray *sectionPlan
 	// enum[k] lists every resolved reference of nonlocal iteration
 	// execNonlocal[k], in body order — row-major for rank-2 loops
 	// (Loop.Enumerate / Loop2.Enumerate only).
@@ -465,28 +441,32 @@ type Engine struct {
 	NoCache bool
 	// ForceInspector disables the compile-time path (ABL3).
 	ForceInspector bool
-	// NoCombine sends each array's data to a peer as a separate
-	// message.  By default the executor combines all arrays' data for
-	// the same destination into one message, as the paper's
-	// implementation does ("sorting by processor id also allowed us to
-	// combine messages between the same two processors, thus saving on
-	// the number of messages").
+	// The three executor knobs below never select a code path: every
+	// execution runs the one window executor (exec.go), and the knobs
+	// only choose where its envelopes split and how sends are charged.
+	// The traffic's contents are the same under every setting, which is
+	// what makes each knob a differential oracle for the default.
+	//
+	// NoCombine splits each loop's per-peer section by array slot, each
+	// slot's section starting its own message.  By default all arrays'
+	// data for the same destination travel in one message, as the
+	// paper's implementation does ("sorting by processor id also allowed
+	// us to combine messages between the same two processors, thus
+	// saving on the number of messages").  It caps fusion windows at one
+	// loop.
 	NoCombine bool
-	// NoOverlap restores the phase-synchronous executor the paper
-	// describes literally: blocking sends whose wire time lands on the
-	// sender's critical path, and a fixed-order receive drain.  By
-	// default execution is split-phase — nonblocking sends posted
-	// before the interior compute, boundary receives drained after it —
-	// so communication overlaps the local iterations.  The traffic is
-	// identical either way (same messages, same counts, same
-	// contents); only its placement relative to compute changes, which
-	// makes this flag the differential oracle for the overlap path.
+	// NoOverlap charges sends as Blocking — the phase-synchronous
+	// executor the paper describes literally, whose wire time lands on
+	// the sender's critical path.  By default sends are Posted before
+	// the interior compute, so communication overlaps the local
+	// iterations.  Messages, counts and contents are identical either
+	// way; on the simulator the drain order is too (slice order), while
+	// wall-clock backends drain in completion order under both.  It caps
+	// fusion windows at one loop.
 	NoOverlap bool
-	// NoFuse disables cross-loop message aggregation: RunSequence
-	// degrades to sequential Run/Run2 calls — the phase-per-loop
-	// executor kept as the differential oracle for the fusion path
-	// (kalirun -fuse=off).  Fusion also stands down automatically under
-	// NoOverlap and NoCombine, whose oracle semantics it composes with.
+	// NoFuse caps RunSequence's fusion windows at one loop, so each loop
+	// sends its own messages exactly as Run/Run2 would — the oracle for
+	// cross-loop aggregation (kalirun -fuse=off).
 	NoFuse bool
 	// Store, when non-nil, is the cross-tenant content-addressed store
 	// (store.go): before building a shareable schedule the engine
@@ -505,24 +485,15 @@ type Engine struct {
 	// Fusion state: the bounded fused-plan store (fuse.go), the
 	// schedule-id mint backing its keys, and the window counter tests
 	// and benches use to assert fusion actually engaged.
-	fusedPlans   *lru.Cache[uint64, *fusedPlan]
+	fusedPlans   *lru.Cache[uint64, *sectionPlan]
 	sidCounter   uint64
 	fusedWindows int
 
-	// Replay scratch, reused across executions so a cached replay
-	// allocates nothing.  Guarded by inRun: a (pathological) nested Run
-	// from inside a loop body falls back to fresh allocations.
-	inRun   bool
-	coreBuf loopCore
-	envBuf  Env
-
-	// Sequence scratch (RunSequence): lowered cores, per-window
-	// schedules, accumulated window writes, and per-loop slot bindings,
-	// all with recycled backing so warm fused replay allocates nothing.
-	seqCores  []loopCore
-	seqScheds []*Schedule
-	seqWrites []*darray.Array
-	seqSlots  [][]*darray.Array
+	// Executor scratch (exec.go), reused across executions so a cached
+	// replay allocates nothing.  Guarded by inRun: a (pathological)
+	// nested Run from inside a loop body falls back to a fresh window.
+	inRun bool
+	win   window
 }
 
 // NewEngine creates the per-node forall engine.
@@ -531,7 +502,7 @@ func NewEngine(n *machine.Node) *Engine {
 		node:       n,
 		cache:      map[schedKey]*cacheEntry{},
 		shared:     lru.New[shareKey, *Schedule](sharedScheduleCap),
-		fusedPlans: lru.New[uint64, *fusedPlan](fusedPlanCap),
+		fusedPlans: lru.New[uint64, *sectionPlan](fusedPlanCap),
 	}
 }
 
@@ -613,45 +584,19 @@ func (e *Engine) InvalidateAll() {
 // analyzed), execution under "executor".
 func (e *Engine) Run(l *Loop) {
 	e.validate(l)
-	c, env := e.acquire()
-	defer e.release(c)
-	l.lower(c)
-	e.runCore(c, env)
+	w := e.acquire(1)
+	defer e.release(w)
+	l.lower(&w.cores[0])
+	e.runWindow(w, w.cores)
 }
 
 // Run2 executes a two-dimensional forall through the same pipeline.
 func (e *Engine) Run2(l *Loop2) {
 	e.validate2(l)
-	c, env := e.acquire()
-	defer e.release(c)
-	l.lower(c)
-	e.runCore(c, env)
-}
-
-// acquire hands out the engine's reusable loopCore/Env scratch, or
-// fresh values if a Run is already active on this engine.
-func (e *Engine) acquire() (*loopCore, *Env) {
-	if e.inRun {
-		return new(loopCore), new(Env)
-	}
-	e.inRun = true
-	return &e.coreBuf, &e.envBuf
-}
-
-// release returns the scratch (a no-op for nested fresh values).
-func (e *Engine) release(c *loopCore) {
-	if c == &e.coreBuf {
-		e.inRun = false
-	}
-}
-
-// runCore is the shared schedule-then-execute pipeline.
-func (e *Engine) runCore(c *loopCore, env *Env) {
-	s := e.schedule(c)
-	phase := phaseOf(c)
-	e.node.StartPhase(phase)
-	e.execute(c, s, env)
-	e.node.StopPhase(phase)
+	w := e.acquire(1)
+	defer e.release(w)
+	l.lower(&w.cores[0])
+	e.runWindow(w, w.cores)
 }
 
 // phaseOf returns the timing phase the loop's execution is attributed

@@ -144,6 +144,7 @@ func TestFusedReplayAllocationFree(t *testing.T) {
 	defer debug.SetGCPercent(old)
 
 	var mallocs uint64
+	var news int64
 	var windows int
 	var mu sync.Mutex
 	mach.Run(func(nd *machine.Node) {
@@ -193,6 +194,7 @@ func TestFusedReplayAllocationFree(t *testing.T) {
 		nd.Barrier()
 		if nd.ID() == 0 {
 			runtime.ReadMemStats(&before)
+			news = payloadPool.Stats().News
 		}
 		nd.Barrier()
 		for k := 0; k < reps; k++ {
@@ -204,6 +206,7 @@ func TestFusedReplayAllocationFree(t *testing.T) {
 			runtime.ReadMemStats(&after)
 			mu.Lock()
 			mallocs = after.Mallocs - before.Mallocs
+			news = payloadPool.Stats().News - news
 			windows = eng.FusedWindows()
 			mu.Unlock()
 		}
@@ -222,7 +225,7 @@ func TestFusedReplayAllocationFree(t *testing.T) {
 		t.Fatalf("expected every sequence execution to fuse: %d windows over %d runs", windows, warmup+reps)
 	}
 	if mallocs != 0 {
-		t.Errorf("warm fused replay allocated: %d mallocs over %d replays on %d nodes (want 0)",
-			mallocs, reps, p)
+		t.Errorf("warm fused replay allocated: %d mallocs over %d replays on %d nodes (want 0; payload pool News +%d)",
+			mallocs, reps, p, news)
 	}
 }

@@ -262,19 +262,22 @@ func TestScheduleNoSharingForInspector(t *testing.T) {
 // allocations across the whole machine.  Run for both execution
 // disciplines: the phase-synchronous oracle here, the default
 // split-phase overlap in TestOverlapReplayAllocationFree (whose drain
-// uses the schedule's preallocated pending-receive slots).
+// uses the schedule's preallocated section plan) — each for both
+// envelope layouts, combined and per-array (NoCombine).
 func TestReplayAllocationFree(t *testing.T) {
-	measureReplayMallocs(t, true)
+	t.Run("combined", func(t *testing.T) { measureReplayMallocs(t, true, false) })
+	t.Run("per-array", func(t *testing.T) { measureReplayMallocs(t, true, true) })
 }
 
 // TestOverlapReplayAllocationFree pins the split-phase executor: warm
-// overlap replay — ISend posts, interior compute, WaitAny drain — is
+// overlap replay — posted sends, interior compute, WaitAny drain — is
 // still 0 allocs/replay machine-wide.
 func TestOverlapReplayAllocationFree(t *testing.T) {
-	measureReplayMallocs(t, false)
+	t.Run("combined", func(t *testing.T) { measureReplayMallocs(t, false, false) })
+	t.Run("per-array", func(t *testing.T) { measureReplayMallocs(t, false, true) })
 }
 
-func measureReplayMallocs(t *testing.T, noOverlap bool) {
+func measureReplayMallocs(t *testing.T, noOverlap, noCombine bool) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
 	}
@@ -287,6 +290,7 @@ func measureReplayMallocs(t *testing.T, noOverlap bool) {
 	defer debug.SetGCPercent(old)
 
 	var mallocs uint64
+	var news int64
 	var mu sync.Mutex
 	mach.Run(func(nd *machine.Node) {
 		out := darray.New("out", d, nd)
@@ -300,6 +304,7 @@ func measureReplayMallocs(t *testing.T, noOverlap bool) {
 		}
 		eng := NewEngine(nd)
 		eng.NoOverlap = noOverlap
+		eng.NoCombine = noCombine
 		loop := &Loop{
 			Name: "replay", Lo: 1, Hi: n - 1,
 			On: out, OnF: analysis.Identity,
@@ -324,6 +329,7 @@ func measureReplayMallocs(t *testing.T, noOverlap bool) {
 		nd.Barrier()
 		if nd.ID() == 0 {
 			runtime.ReadMemStats(&before)
+			news = payloadPool.Stats().News
 		}
 		nd.Barrier()
 		for k := 0; k < reps; k++ {
@@ -335,6 +341,7 @@ func measureReplayMallocs(t *testing.T, noOverlap bool) {
 			runtime.ReadMemStats(&after)
 			mu.Lock()
 			mallocs = after.Mallocs - before.Mallocs
+			news = payloadPool.Stats().News - news
 			mu.Unlock()
 		}
 		nd.Barrier()
@@ -346,8 +353,8 @@ func measureReplayMallocs(t *testing.T, noOverlap bool) {
 		}
 	})
 	if mallocs != 0 {
-		t.Errorf("cached replay allocated: %d mallocs over %d replays on %d nodes (want 0)",
-			mallocs, reps, p)
+		t.Errorf("cached replay allocated: %d mallocs over %d replays on %d nodes (want 0; payload pool News +%d)",
+			mallocs, reps, p, news)
 	}
 }
 

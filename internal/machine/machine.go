@@ -57,6 +57,27 @@ func FusedTag(k int) Tag {
 	return TagFused + Tag(k)
 }
 
+// SendMode says how a send is charged to the sender.  It never changes
+// what is delivered or in which order — only where the send's cost
+// lands on a virtual clock — so backends without modeled time ignore
+// it.
+type SendMode uint8
+
+const (
+	// Blocking charges the startup and the per-byte copy to the sender's
+	// clock: the paper's phase-synchronous send.
+	Blocking SendMode = iota
+	// Posted charges only the startup; the per-byte wire time is
+	// serialized on the sender's network interface and overlaps
+	// whatever the sender computes next (split-phase execution).
+	Posted
+	// Continuation sends one more section of a message an earlier send
+	// to the same peer already started: no startup, only wire time
+	// appended to the network interface.  It is not counted as a
+	// message (MsgsSent, MsgsReceived), only its bytes.
+	Continuation
+)
+
 // Message is one in-flight message.
 type Message struct {
 	From    int
@@ -73,10 +94,7 @@ type Machine struct {
 	params Params
 	p      int
 	tr     Transport
-	// fs caches the transport's optional FusedSender capability so the
-	// per-section send path skips the type assertion.
-	fs    FusedSender
-	nodes []*Node
+	nodes  []*Node
 
 	scratchMu sync.Mutex
 	scratch   map[any]any
@@ -91,7 +109,6 @@ func NewWith(p int, params Params, tr Transport) (*Machine, error) {
 		return nil, fmt.Errorf("machine: need at least one node, got %d", p)
 	}
 	m := &Machine{params: params, p: p, tr: tr}
-	m.fs, _ = tr.(FusedSender)
 	ca, _ := tr.(ClockAddr)
 	m.nodes = make([]*Node, p)
 	for i := 0; i < p; i++ {
@@ -222,14 +239,15 @@ func (m *Machine) Reset() {
 // and reports.  Counts are identical across backends — schedules
 // prescribe the traffic, the transport only moves it — which is what
 // lets the backend-equivalence tests pin sim and wall-clock runs
-// against each other.  MsgsSent/BytesSent count every message; the
-// Redist* fields count the subset sent under TagRedist, so
-// redistribution traffic is attributed distinctly from forall
-// (executor/inspector) traffic rather than being silently absorbed
-// into the loop totals.  The Fused* fields count cross-loop aggregated
-// messages (first sections sent under the TagFused range): one fused
-// message replaces several per-loop messages to the same peer, so
-// MsgsSent drops while FusedMsgsSent counts what remains.
+// against each other.  MsgsSent/BytesSent count every message
+// (Continuation sections add bytes, not messages).  The Redist* and
+// Fused* fields count subsets attributed by tag: Redist* the traffic
+// sent under TagRedist, so redistribution is counted apart from forall
+// (executor/inspector) traffic; Fused* the traffic sent under the
+// fused tag range [TagFused, TagUser), i.e. the sections of cross-loop
+// aggregated messages.  One fused message replaces several per-loop
+// messages to the same peer, so MsgsSent drops while FusedMsgsSent
+// counts what remains.
 type Stats struct {
 	MsgsSent     int
 	BytesSent    int
@@ -441,81 +459,44 @@ func (n *Node) ChargeSearch(r int) {
 	n.advance(p.SearchBase + float64(probes)*p.SearchProbe)
 }
 
-// Send transmits payload to node `to`.  nbytes is the wire size used
-// for cost accounting.  On the simulator the sender is charged the
-// startup plus copy cost and the message arrives after the modeled
-// network latency; on real backends the transfer happens through
-// shared memory and takes however long it takes.
+// Send transmits payload to node `to` with a Blocking charge.  nbytes
+// is the wire size used for cost accounting.  On the simulator the
+// sender is charged the startup plus copy cost and the message arrives
+// after the modeled network latency; on real backends the transfer
+// happens through shared memory and takes however long it takes.
 func (n *Node) Send(to int, tag Tag, payload any, nbytes int) {
+	n.Post(to, tag, payload, nbytes, Blocking)
+}
+
+// Post transmits payload to node `to`, charged as mode says: Blocking
+// is Send, Posted leaves the wire time off the sender's critical path,
+// Continuation extends a message already started to the same peer.
+// Event counts depend only on the mode and the tag (see Stats), never
+// on the backend.
+func (n *Node) Post(to int, tag Tag, payload any, nbytes int, mode SendMode) {
 	if to == n.id {
 		panic("machine: send to self")
 	}
-	n.stats.MsgsSent++
 	n.stats.BytesSent += nbytes
-	if tag == TagRedist {
+	if mode != Continuation {
+		n.stats.MsgsSent++
+	}
+	switch {
+	case tag == TagRedist:
 		n.stats.RedistMsgsSent++
 		n.stats.RedistBytesSent += nbytes
+	case tag >= TagFused && tag < TagUser:
+		n.stats.FusedBytesSent += nbytes
+		if mode != Continuation {
+			n.stats.FusedMsgsSent++
+		}
 	}
 	n.m.tr.Send(n.id, to, Message{
 		From:    n.id,
 		Tag:     tag,
 		Payload: payload,
 		Bytes:   nbytes,
-	})
-}
-
-// ISend posts payload for delivery to node `to` without blocking on
-// the transfer: the split-phase executor's nonblocking send.  Event
-// counts are identical to Send — schedules prescribe the same traffic
-// either way — but the wire time leaves the sender's critical path.
-// On the simulator the sender is charged only the send startup, and
-// the per-byte wire time is serialized on the node's network
-// interface, overlapping whatever the sender computes next; on real
-// backends every send already enqueues without rendezvous, so ISend
-// and Send coincide.
-func (n *Node) ISend(to int, tag Tag, payload any, nbytes int) {
-	if to == n.id {
-		panic("machine: send to self")
-	}
-	n.stats.MsgsSent++
-	n.stats.BytesSent += nbytes
-	if tag == TagRedist {
-		n.stats.RedistMsgsSent++
-		n.stats.RedistBytesSent += nbytes
-	}
-	n.m.tr.ISend(n.id, to, Message{
-		From:    n.id,
-		Tag:     tag,
-		Payload: payload,
-		Bytes:   nbytes,
-	})
-}
-
-// ISendFused posts one section of a cross-loop aggregated message.
-// A fusion window sends each peer one logical message made of per-loop
-// sections; the section payloads are bit-identical to the per-loop
-// messages an unfused run would send, but only the first section is a
-// real message start: it pays the send startup and counts in MsgsSent
-// (and FusedMsgsSent).  Continuation sections extend the same transfer
-// — their bytes append to the sender's network-interface timeline with
-// no new startup and no new message count, which is exactly why the
-// fused sender's clock can only shrink relative to the unfused one.
-func (n *Node) ISendFused(to int, tag Tag, payload any, nbytes int, first bool) {
-	if to == n.id {
-		panic("machine: send to self")
-	}
-	n.stats.BytesSent += nbytes
-	n.stats.FusedBytesSent += nbytes
-	if first {
-		n.stats.MsgsSent++
-		n.stats.FusedMsgsSent++
-	}
-	msg := Message{From: n.id, Tag: tag, Payload: payload, Bytes: nbytes}
-	if n.m.fs != nil {
-		n.m.fs.ISendPart(n.id, to, msg, first)
-		return
-	}
-	n.m.tr.ISend(n.id, to, msg)
+	}, mode)
 }
 
 // Recv blocks until a message from `from` with the given tag is
@@ -527,76 +508,31 @@ func (n *Node) Recv(from int, tag Tag) Message {
 	return msg
 }
 
-// Request identifies one posted receive: the (sender, tag) pair a
-// Wait/WaitAny completes.  Requests are plain values so schedules can
-// preallocate them per peer and replay without allocating.
+// Request identifies one expected message for WaitAny: the (sender,
+// tag) pair it completes, and whether it is a Continuation section of
+// a message an earlier request already counted.  Requests are plain
+// values so schedules can preallocate them per peer and replay without
+// allocating.
 type Request struct {
 	From int
 	Tag  Tag
+	Cont bool
 }
 
-// IRecv posts a receive for the (from, tag) stream and returns the
-// request to pass to Wait or WaitAny.  Posting is free — matching
-// happens at completion time — so this is a pure constructor; it
-// exists so split-phase code reads as post-sends / post-receives /
-// compute / wait.
-func (n *Node) IRecv(from int, tag Tag) Request {
-	return Request{From: from, Tag: tag}
-}
-
-// Wait completes one posted receive, blocking until its message is
-// available (clock rules as in Recv).
-func (n *Node) Wait(r Request) Message {
-	msg := n.m.tr.Recv(n.id, r.From, r.Tag)
-	n.stats.MsgsReceived++
-	return msg
-}
-
-// WaitAny completes one not-yet-done posted receive among reqs,
-// returning its index and message; the caller marks done[i] and loops
-// until every request has completed.  On wall-clock backends the
-// request that physically completes first is returned, so a boundary
-// pass blocks per-peer only as needed; the simulator completes
-// requests in slice order, which keeps virtual clocks deterministic.
-// done must be parallel to reqs; at least one entry must be unset.
+// WaitAny completes one not-yet-done request among reqs, returning its
+// index and message; the caller marks done[i] and loops until every
+// request has completed.  On wall-clock backends the request that
+// physically completes first is returned, so a boundary pass blocks
+// per-peer only as needed; the simulator completes requests in slice
+// order, which keeps virtual clocks deterministic.  Only requests
+// without Cont count in MsgsReceived.  done must be parallel to reqs;
+// at least one entry must be unset.
 func (n *Node) WaitAny(reqs []Request, done []bool) (int, Message) {
 	i, msg := n.m.tr.WaitAny(n.id, reqs, done)
-	n.stats.MsgsReceived++
-	return i, msg
-}
-
-// WaitAnyFused is WaitAny for fused-section streams: completion order
-// and clock rules are identical, but only a fused message's first
-// section counts in MsgsReceived — continuation sections complete as
-// parts of the same logical message.  firsts must be parallel to reqs.
-func (n *Node) WaitAnyFused(reqs []Request, done []bool, firsts []bool) (int, Message) {
-	i, msg := n.m.tr.WaitAny(n.id, reqs, done)
-	if firsts[i] {
+	if !reqs[i].Cont {
 		n.stats.MsgsReceived++
 	}
 	return i, msg
-}
-
-// RecvFromEach receives exactly one message with the given tag from
-// every node in froms, returning them indexed as in froms.  On the
-// simulator, arrival processing is deterministic: clock effects are
-// applied in the order of the froms slice regardless of physical
-// arrival order.  On wall-clock backends messages are consumed in
-// completion order (WaitAny), so one late peer no longer serializes
-// the drain behind the peers before it in the slice.
-func (n *Node) RecvFromEach(tag Tag, froms []int) []Message {
-	out := make([]Message, len(froms))
-	reqs := make([]Request, len(froms))
-	done := make([]bool, len(froms))
-	for i, f := range froms {
-		reqs[i] = Request{From: f, Tag: tag}
-	}
-	for k := 0; k < len(froms); k++ {
-		i, msg := n.WaitAny(reqs, done)
-		done[i] = true
-		out[i] = msg
-	}
-	return out
 }
 
 // Barrier synchronizes all nodes (on the simulator, afterwards every

@@ -25,7 +25,7 @@ type transport struct {
 	cube   bool // node ids are hypercube addresses (P is a power of two)
 
 	clocks    []float64
-	nicFree   []float64 // per-node network-interface busy-until time (ISend wire serialization)
+	nicFree   []float64 // per-node network-interface busy-until time (Posted wire serialization)
 	mailboxes []chan machine.Message
 	pending   [][]machine.Message // received but not yet matched, per node
 
@@ -106,56 +106,43 @@ func (t *transport) hops(p, q int) int {
 	return bits.OnesCount(uint(p ^ q))
 }
 
-// Send charges the sender the startup plus copy cost and stamps the
-// message with its receiver-side arrival time: send completion plus
-// the per-hop network latency.  A blocking send drives the wire
-// itself, so the NIC timeline catches up to the clock — mixing Send
-// and ISend on one node stays coherent, and a run made only of
-// blocking sends is bit-identical to the pre-overlap model.
-func (t *transport) Send(me, to int, msg machine.Message) {
+// Send charges the sender according to mode and stamps the message
+// with its receiver-side arrival time.
+//
+// A Blocking send charges the startup plus copy cost and arrives after
+// the per-hop network latency.  It drives the wire itself, so the NIC
+// timeline catches up to the clock — mixing modes on one node stays
+// coherent, and a run made only of blocking sends is bit-identical to
+// the pre-overlap model.
+//
+// A Posted send charges only the startup; the per-byte wire time is
+// serialized on the node's network interface, which runs concurrently
+// with whatever the node computes next.  The transfer starts when both
+// the startup is issued and the NIC is free, so back-to-back posts
+// queue on the wire rather than magically overlapping each other.
+// Every timestamp is ≤ its blocking counterpart (startup-only charge ≤
+// full charge; the NIC start takes the max of values that are each ≤
+// the blocking clock), and the receive rules are monotone in ArriveAt,
+// so overlap can only shrink simulated clocks, never grow them.
+//
+// A Continuation section skips the startup and only appends its wire
+// time to the NIC timeline.  Posting a fusion window's sections
+// loop-major at the point the unfused run would post its first loop's
+// messages makes every section's ArriveAt ≤ the unfused counterpart's:
+// the first loop's sections get identical timestamps (same clock, same
+// NIC prefix), and later loops' sections leave a NIC that never waits
+// for intervening compute, while the unfused sender posts them only
+// after finishing the previous loop.
+func (t *transport) Send(me, to int, msg machine.Message, mode machine.SendMode) {
 	p := &t.params
-	t.clocks[me] += p.MsgStartup + float64(msg.Bytes)*p.MsgPerByte
-	t.nicFree[me] = t.clocks[me]
-	msg.ArriveAt = t.clocks[me] + float64(t.hops(me, to))*p.PerHop
-	t.mailboxes[to] <- msg
-}
-
-// ISend charges the sender only the send startup; the per-byte wire
-// time is serialized on the node's network interface, which runs
-// concurrently with whatever the node computes next.  The transfer
-// starts when both the startup is issued and the NIC is free, so
-// back-to-back ISends queue on the wire rather than magically
-// overlapping each other.  Every timestamp here is ≤ its blocking-Send
-// counterpart (startup-only charge ≤ full charge; nic start takes the
-// max of values that are each ≤ the blocking clock), and the receive
-// rules are monotone in ArriveAt, so overlap can only shrink simulated
-// clocks, never grow them.
-func (t *transport) ISend(me, to int, msg machine.Message) {
-	p := &t.params
-	t.clocks[me] += p.MsgStartup
-	start := t.clocks[me]
-	if t.nicFree[me] > start {
-		start = t.nicFree[me]
+	if mode == machine.Blocking {
+		t.clocks[me] += p.MsgStartup + float64(msg.Bytes)*p.MsgPerByte
+		t.nicFree[me] = t.clocks[me]
+		msg.ArriveAt = t.clocks[me] + float64(t.hops(me, to))*p.PerHop
+		t.mailboxes[to] <- msg
+		return
 	}
-	end := start + float64(msg.Bytes)*p.MsgPerByte
-	t.nicFree[me] = end
-	msg.ArriveAt = end + float64(t.hops(me, to))*p.PerHop
-	t.mailboxes[to] <- msg
-}
-
-// ISendPart posts one section of a cross-loop fused message
-// (machine.FusedSender).  A first section is exactly ISend; a
-// continuation section skips the startup charge and only appends its
-// wire time to the network-interface timeline.  Posting a window's
-// sections loop-major at the point the unfused run would post its
-// first loop's messages makes every section's ArriveAt ≤ the unfused
-// counterpart's: the first loop's sections get identical timestamps
-// (same clock, same NIC prefix), and later loops' sections leave a NIC
-// that never waits for intervening compute, while the unfused sender
-// posts them only after finishing the previous loop.
-func (t *transport) ISendPart(me, to int, msg machine.Message, first bool) {
-	p := &t.params
-	if first {
+	if mode == machine.Posted {
 		t.clocks[me] += p.MsgStartup
 	}
 	start := t.clocks[me]

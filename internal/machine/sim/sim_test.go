@@ -319,30 +319,6 @@ func TestRunPropagatesPanic(t *testing.T) {
 	})
 }
 
-func TestRecvFromEachDeterministicClock(t *testing.T) {
-	// The final clock must not depend on physical arrival order.
-	run := func() float64 {
-		m := MustNew(4, machine.NCUBE7())
-		var clock float64
-		m.Run(func(n *machine.Node) {
-			if n.ID() == 0 {
-				n.RecvFromEach(machine.TagUser, []int{1, 2, 3})
-				clock = n.Clock()
-			} else {
-				n.Advance(float64(n.ID()) * 0.001)
-				n.Send(0, machine.TagUser, nil, 64)
-			}
-		})
-		return clock
-	}
-	first := run()
-	for i := 0; i < 20; i++ {
-		if got := run(); got != first {
-			t.Fatalf("nondeterministic clock: %g vs %g", got, first)
-		}
-	}
-}
-
 // TestQuickClockMonotonic: a random walk of charges never decreases
 // the clock.
 func TestQuickClockMonotonic(t *testing.T) {

@@ -26,8 +26,8 @@ func TestWaitAnyCompletesInSliceOrder(t *testing.T) {
 			sent2.Wait()
 			close(release1)
 			reqs := []machine.Request{
-				n.IRecv(1, machine.TagUser),
-				n.IRecv(2, machine.TagUser),
+				{From: 1, Tag: machine.TagUser},
+				{From: 2, Tag: machine.TagUser},
 			}
 			done := make([]bool, 2)
 			for k := 0; k < 2; k++ {

@@ -16,7 +16,7 @@ package machine
 //     are no-ops, and elapsed time is measured with the monotonic
 //     clock — the same compiled schedules, timed for real.
 //
-// All per-node methods (Send, Recv, Advance, Elapsed, Barrier,
+// All per-node methods (Send, Recv, WaitAny, Advance, Elapsed, Barrier,
 // AllReduce) are called only from node me's program goroutine; Begin,
 // Poison, MaxElapsed and Reset are called by the Machine while no node
 // program is running (except Poison, which a panicking node calls to
@@ -52,22 +52,15 @@ type Transport interface {
 	// backends ignore it (real operations take real time).
 	Advance(me int, seconds float64)
 
-	// Send ships msg from me to node to; it must not block
-	// indefinitely when the receiver is not yet in Recv.  Recv blocks
-	// until the matching (from, tag) message is available and returns
-	// it; messages between one pair are delivered in send order.
-	Send(me, to int, msg Message)
+	// Send ships msg from me to node to, charged as mode says (see
+	// SendMode); it must not block indefinitely when the receiver is not
+	// yet in Recv.  Recv blocks until the matching (from, tag) message
+	// is available and returns it; messages between one pair are
+	// delivered in send order whatever their modes.  Backends without
+	// modeled time ignore the mode: their sends already enqueue without
+	// rendezvous.
+	Send(me, to int, msg Message, mode SendMode)
 	Recv(me, from int, tag Tag) Message
-
-	// ISend is the nonblocking Send behind split-phase executors: the
-	// transfer's wire time must not sit on the sender's critical path.
-	// The simulator charges the sender only the send startup and
-	// serializes the per-byte copy on the node's network interface,
-	// overlapping subsequent compute; real backends already enqueue
-	// without rendezvous, so ISend and Send coincide there.  Delivery
-	// order between one pair is still send order, and Send/ISend may be
-	// mixed on one stream.
-	ISend(me, to int, msg Message)
 
 	// WaitAny blocks until some request reqs[i] with !done[i] has a
 	// matching message available and returns (i, message); the caller
@@ -90,21 +83,6 @@ type Transport interface {
 	// Reset restores the transport for another Run: clocks zeroed,
 	// queues drained.
 	Reset()
-}
-
-// FusedSender is an optional Transport extension for virtual-time
-// backends that model cross-loop aggregated messages: ISendPart posts
-// one section of a fused message.  The first section of a message is
-// charged like ISend (startup, then wire time serialized on the
-// sender's network interface); continuation sections append only their
-// wire time to the interface timeline — no startup — so fusing k
-// per-loop messages into one saves k-1 startups on the sender's clock
-// while every section still arrives no later than its unfused
-// counterpart.  Backends without modeled startup costs (wall-clock)
-// need not implement it; the Machine falls back to plain ISend, which
-// has identical delivery semantics there.
-type FusedSender interface {
-	ISendPart(me, to int, msg Message, first bool)
 }
 
 // ClockAddr is an optional Transport extension for virtual-time

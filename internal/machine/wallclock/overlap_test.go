@@ -2,7 +2,6 @@ package wallclock
 
 import (
 	"testing"
-	"time"
 
 	"kali/internal/machine"
 )
@@ -20,8 +19,8 @@ func TestWaitAnyCompletionOrder(t *testing.T) {
 		switch n.ID() {
 		case 0:
 			reqs := []machine.Request{
-				n.IRecv(1, machine.TagUser),
-				n.IRecv(2, machine.TagUser),
+				{From: 1, Tag: machine.TagUser},
+				{From: 2, Tag: machine.TagUser},
 			}
 			done := make([]bool, 2)
 			i, _ := n.WaitAny(reqs, done)
@@ -38,28 +37,5 @@ func TestWaitAnyCompletionOrder(t *testing.T) {
 	})
 	if firstIdx != 1 {
 		t.Fatalf("first completed request %d, want 1 (node 2's message arrived first)", firstIdx)
-	}
-}
-
-// TestRecvFromEachOutOfOrderArrival: RecvFromEach consumes messages in
-// completion order on this backend, but its results stay indexed by
-// the froms slice regardless of arrival order.
-func TestRecvFromEachOutOfOrderArrival(t *testing.T) {
-	m := MustNew(4, machine.Ideal())
-	var got [3]int
-	m.Run(func(n *machine.Node) {
-		if n.ID() == 0 {
-			msgs := n.RecvFromEach(machine.TagUser, []int{1, 2, 3})
-			for i, msg := range msgs {
-				got[i] = msg.Payload.(int)
-			}
-			return
-		}
-		// Stagger sends in reverse node order: 3 first, 1 last.
-		time.Sleep(time.Duration(3-n.ID()) * 5 * time.Millisecond)
-		n.Send(0, machine.TagUser, 11*n.ID(), 8)
-	})
-	if got != [3]int{11, 22, 33} {
-		t.Fatalf("RecvFromEach results %v, want [11 22 33] (indexed by froms)", got)
 	}
 }

@@ -119,18 +119,13 @@ func (t *transport) MaxElapsed() float64 {
 // Advance is a no-op: real operations take real time.
 func (t *transport) Advance(me int, seconds float64) {}
 
-func (t *transport) Send(me, to int, msg machine.Message) {
+// Send ignores the mode: pushes already complete without rendezvous on
+// this backend, so posted semantics hold for free.  The real overlap is
+// on the receive side — WaitAny lets the boundary pass consume
+// whichever peer finishes first instead of blocking on a fixed order.
+func (t *transport) Send(me, to int, msg machine.Message, _ machine.SendMode) {
 	t.queues[to*t.p+me].push(msg)
 	t.notify[to].bump()
-}
-
-// ISend is Send: pushes already complete without rendezvous on this
-// backend, so the nonblocking semantics hold for free.  The real
-// overlap is on the receive side — WaitAny lets the boundary pass
-// consume whichever peer finishes first instead of blocking on a
-// fixed order.
-func (t *transport) ISend(me, to int, msg machine.Message) {
-	t.Send(me, to, msg)
 }
 
 func (t *transport) Recv(me, from int, tag machine.Tag) machine.Message {

@@ -14,14 +14,20 @@
 // that lets identically-shaped loops share one schedule, closed-form
 // compile-time analysis when subscripts are affine (§3.1), and the
 // run-time inspector/executor (§3.3) for data-dependent subscripts.
-// Replaying a cached schedule is allocation-free: payloads are packed
-// with bulk per-range copies, coalesced into one message per
-// processor pair, and recycled through a buffer pool.
+// One envelope executor runs every loop and every fused window of a
+// loop sequence: it posts one envelope of sections per peer, runs the
+// interior iterations, drains its own sections, runs the boundary
+// iterations and commits the writes (Figure 3).  Replaying a cached
+// schedule is allocation-free: payloads are packed with bulk
+// per-range copies, coalesced into one message per processor pair,
+// and recycled through a buffer pool.
 //
 // A minimal program — Context.Forall and Context.Forall2 dispatch to
 // the node's Engine (also reachable as ctx.Eng for cache control,
 // Engine.Schedule inspection, and the NoCache/ForceInspector/
-// NoCombine ablation switches):
+// NoCombine ablation switches; NoCombine, NoOverlap and NoFuse only
+// choose where the executor's envelopes split and how sends are
+// charged):
 //
 //	rep := kali.Run(kali.Config{P: 4, Params: kali.NCUBE7()}, func(ctx *kali.Context) {
 //	    a := ctx.BlockArray("A", 100)
