@@ -27,6 +27,11 @@ type File struct {
 	Consts []*ConstDecl
 	Vars   []*VarDecl
 	Main   []Stmt
+
+	// set by the checker: the sizes of the global tables that constant,
+	// scalar and array symbols index (scalars include the implicit
+	// variables of top-level for loops).
+	nConsts, nScalars, nArrays int
 }
 
 // ProcsDecl is "processors Procs : array[1..P] with P in lo..hi;" or,
@@ -41,6 +46,8 @@ type ProcsDecl struct {
 	MinP    Expr   // with-clause bounds (nil when absent)
 	MaxP    Expr
 	Line    int
+
+	sym *symbol // P, set by the checker (nil when SizeVar is "")
 }
 
 // Rank2 reports whether the processor array is two-dimensional.
@@ -58,6 +65,8 @@ type ConstDecl struct {
 	// are evaluated once the processor count is chosen.
 	Folded bool
 	Val    value
+
+	sym *symbol // set by the checker
 }
 
 // DistItem is one entry of a dist clause.
@@ -69,6 +78,8 @@ type DistItem struct {
 	// at elaboration time over the constants and P.
 	MapVar  string
 	MapExpr Expr
+
+	mapSym *symbol // MapVar's binding, set by the checker
 }
 
 // VarDecl declares one or more names of a common type.
@@ -79,6 +90,8 @@ type VarDecl struct {
 	Dist  []DistItem // nil when replicated / scalar
 	OnTo  string     // processor array name ("" defaults)
 	Line  int
+
+	syms []*symbol // one per name, set by the checker
 }
 
 // ArrayDim is one "lo..hi" bound pair.
@@ -95,6 +108,11 @@ type Assign struct {
 	Indexes []Expr // nil for scalars
 	X       Expr
 	Line    int
+
+	// set by the checker: the target, and for array writes inside a
+	// forall its index into the forall's reals slot table.
+	sym  *symbol
+	slot int
 }
 
 // Forall is the parallel loop with an on clause.  Two-dimensional
@@ -113,14 +131,22 @@ type Forall struct {
 	Line     int
 
 	// set by the checker:
+	vars  [2]*symbol    // the index variables (frame slots 0 and 1)
+	onSym *symbol       // the on-clause array
+	on    [2]affineForm // the on-clause subscripts, one per index variable
 	reads []*readInfo
-	deps  []string // int arrays the reference pattern depends on
-	// slotNames/intSlotNames number the real and integer arrays read
-	// in the body, in first-reference order; every ArrayRef.slot below
-	// indexes into the matching list.  The bytecode compiler binds VM
-	// array slots from this numbering.
-	slotNames    []string
-	intSlotNames []string
+	deps  []*symbol // int arrays the reference pattern depends on
+	// writes lists the distinct real arrays the body assigns, in
+	// first-write order: the write set the fusion planner breaks
+	// windows on.
+	writes []*symbol
+	// reals/ints number the real and integer arrays the body touches;
+	// every ArrayRef.slot and Assign.slot indexes the matching list.
+	// The bytecode compiler binds VM array slots from this numbering.
+	reals, ints []*symbol
+	// nLocals sizes the per-iteration frame that index variables, body
+	// locals and inner for variables occupy.
+	nLocals int
 }
 
 // LocalDecl is a per-iteration variable inside a forall.
@@ -128,6 +154,8 @@ type LocalDecl struct {
 	Name string
 	Type BaseType
 	Line int
+
+	sym *symbol // set by the checker
 }
 
 // ForLoop is a sequential for.
@@ -136,6 +164,8 @@ type ForLoop struct {
 	Lo, Hi Expr
 	Body   []Stmt
 	Line   int
+
+	sym *symbol // the loop variable, set by the checker
 }
 
 // While is a while loop.
@@ -160,6 +190,9 @@ type Reduce struct {
 	Args []string // array names
 	Into string
 	Line int
+
+	argSyms []*symbol // set by the checker
+	intoSym *symbol
 }
 
 // Redistribute is "redistribute name as [items]": rebind a distributed
@@ -170,6 +203,8 @@ type Redistribute struct {
 	Name  string
 	Items []DistItem
 	Line  int
+
+	sym *symbol // set by the checker
 }
 
 func (*Assign) stmtNode()       {}
@@ -205,6 +240,8 @@ type BoolLit struct {
 type Ident struct {
 	Name string
 	Line int
+
+	sym *symbol // set by the checker
 }
 
 // ArrayRef is "name[indexes]".
@@ -213,9 +250,10 @@ type ArrayRef struct {
 	Indexes []Expr
 	Line    int
 
-	// set by the checker for refs inside foralls:
+	// set by the checker; access and slot only for refs inside foralls:
+	sym    *symbol
 	access accessMode
-	slot   int // index into the forall's slotNames/intSlotNames
+	slot   int // index into the forall's reals/ints
 }
 
 // Unary is "-x" or "not x".
@@ -259,15 +297,19 @@ const (
 	accIndirect              // data-dependent subscript: inspector, Env.Read
 )
 
+// affineForm is a subscript a*v + c in one index variable v, with
+// loop-invariant constant expressions a and c that elaboration
+// evaluates (nil encodes 0).
+type affineForm struct {
+	a, c Expr
+}
+
 // readInfo describes one distinct distributed-array read slot of a
 // forall (feeds forall.Loop.Reads / forall.Loop2.Reads).
 type readInfo struct {
-	array  string
-	affine bool
-	a, c   int // filled at elaboration for affine reads
-	aExpr  Expr
-	cExpr  Expr
-	// rank-2 affine reads X[aI*i+cI, aJ*j+cJ] inside two-index foralls:
-	affine2                        bool
-	aIExpr, cIExpr, aJExpr, cJExpr Expr
+	array *symbol
+	// affine reads X[a*i+c] keep their form in i; rank-2 affine reads
+	// X[aI*i+cI, aJ*j+cJ] inside two-index foralls keep i and j.
+	affine, affine2 bool
+	i, j            affineForm
 }

@@ -1,6 +1,8 @@
 package lang
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -35,76 +37,106 @@ func TestLexerErrors(t *testing.T) {
 	compileErr(t, "processors !", "unexpected character")
 }
 
+// parserErrorCases and checkerErrorCases pair rejected sources with
+// the diagnostic each must produce; FuzzCompile seeds from them too.
+var parserErrorCases = []struct{ src, want string }{
+	{"begin end", "lacks a processors"},
+	{"var x : real;", "expected declaration or begin"},
+	{header + "begin x := ; end.", "expected expression"},
+	{header + "begin x := 1.0 end.", "expected ;"},
+	{header + "begin forall i in 1..n do x := 1.0; end; end.", "expected on"},
+	{header + "begin forall i in 1..n on a[i] do x := 1.0; end; end.", "expected ."},
+	{header + "begin if x then x := 1.0; end; end.", "must be boolean"},
+	{"processors A : array[2..4];", "must start at 1"},
+	{"processors A : array[1..Q];", "needs a with clause"},
+	{"processors A : array[1..Q] with R in 1..4;", "must match"},
+	{header + "const ;", "declares nothing"},
+	{header + "var ;", "declares nothing"},
+	{header + "begin while true do x := 1.0;", "unexpected end of file"},
+}
+
 func TestParserErrors(t *testing.T) {
-	cases := []struct{ src, want string }{
-		{"begin end", "lacks a processors"},
-		{"var x : real;", "expected declaration or begin"},
-		{header + "begin x := ; end.", "expected expression"},
-		{header + "begin x := 1.0 end.", "expected ;"},
-		{header + "begin forall i in 1..n do x := 1.0; end; end.", "expected on"},
-		{header + "begin forall i in 1..n on a[i] do x := 1.0; end; end.", "expected ."},
-		{header + "begin if x then x := 1.0; end; end.", "must be boolean"},
-		{"processors A : array[2..4];", "must start at 1"},
-		{"processors A : array[1..Q];", "needs a with clause"},
-		{"processors A : array[1..Q] with R in 1..4;", "must match"},
-		{header + "const ;", "declares nothing"},
-		{header + "var ;", "declares nothing"},
-		{header + "begin while true do x := 1.0;", "unexpected end of file"},
-	}
-	for _, c := range cases {
+	for _, c := range parserErrorCases {
 		compileErr(t, c.src, c.want)
 	}
 }
 
+var checkerErrorCases = []struct{ src, want string }{
+	// type errors
+	{header + "begin x := true; end.", "cannot assign"},
+	{header + "begin i := 1.5; end.", "cannot assign"},
+	{header + "begin x := y; end.", "undeclared name"},
+	{header + "begin x := a; end.", "without subscripts"},
+	{header + "begin x := x[1]; end.", "is not an array"},
+	{header + "begin a[1.5] := 1.0; end.", "index must be an integer"},
+	{header + "begin a[1,2] := 1.0; end.", "1 dimensions"},
+	{header + "begin x := abs(1,2); end.", "takes 1 argument"},
+	{header + "begin x := nosuch(1); end.", "unknown function"},
+	{header + "begin x := 1 + true; end.", "arithmetic on booleans"},
+	{header + "begin x := not 1; end.", "not needs a boolean"},
+	{header + "begin i := 1 mod 1.5; end.", "mod needs integers"},
+	// distributed-array discipline
+	{header + "begin x := a[1]; end.", "outside a forall"},
+	{header + "begin forall i in 1..n on w[i].loc do a[i] := 1.0; end; end.",
+		"needs a distributed one-dimensional array"},
+	{header + "begin forall i in 1..n on a[i*i].loc do a[i] := 1.0; end; end.",
+		"must be affine"},
+	{header + "begin forall i in 1..n on a[i].loc do w[i] := 1.0; end; end.",
+		"replicated array"},
+	{header + "begin forall i in 1..n on a[i].loc do k[i] := 1; end; end.",
+		"only real arrays"},
+	{header + "begin forall i in 1..n on a[i].loc do x := 1.0; end; end.",
+		"global scalar"},
+	{header + "begin forall i in 1..n on a[i].loc do forall i in 1..n on a[i].loc do a[i] := 1.0; end; end; end.",
+		"nested forall"},
+	// reduce discipline
+	{header + "begin reduce maxdiff(a) into x; end.", "takes 2"},
+	{header + "begin reduce maxdiff(a, b) into i; end.", "must be a real scalar"},
+	{header + "begin reduce maxdiff(a, w) into x; end.", "must be a distributed real array"},
+	{header + "begin reduce frobnicate(a) into x; end.", "unknown reduction"},
+	// declarations
+	{"processors P1 : array[1..4];\nconst n = 16;\nvar a : array[1..n] of real dist by [block, *] on P1;\nbegin end.",
+		"dist items"},
+	{"processors P1 : array[1..4];\nvar a : array[1..8] of real dist by [block] on Nope;\nbegin end.",
+		"unknown processor array"},
+	{"processors P1 : array[1..4];\nvar a : array[1..8] of boolean dist by [block];\nbegin end.",
+		"boolean arrays"},
+	{"processors P1 : array[1..4];\nvar a : real;\nvar a : integer;\nbegin end.",
+		"duplicate declaration"},
+	{"processors P1 : array[1..4];\nvar m : integer;\nvar a : array[1..m] of real;\nbegin end.",
+		"constant expressions"},
+}
+
 func TestCheckerErrors(t *testing.T) {
-	cases := []struct{ src, want string }{
-		// type errors
-		{header + "begin x := true; end.", "cannot assign"},
-		{header + "begin i := 1.5; end.", "cannot assign"},
-		{header + "begin x := y; end.", "undeclared name"},
-		{header + "begin x := a; end.", "without subscripts"},
-		{header + "begin x := x[1]; end.", "is not an array"},
-		{header + "begin a[1.5] := 1.0; end.", "index must be an integer"},
-		{header + "begin a[1,2] := 1.0; end.", "1 dimensions"},
-		{header + "begin x := abs(1,2); end.", "takes 1 argument"},
-		{header + "begin x := nosuch(1); end.", "unknown function"},
-		{header + "begin x := 1 + true; end.", "arithmetic on booleans"},
-		{header + "begin x := not 1; end.", "not needs a boolean"},
-		{header + "begin i := 1 mod 1.5; end.", "mod needs integers"},
-		// distributed-array discipline
-		{header + "begin x := a[1]; end.", "outside a forall"},
-		{header + "begin forall i in 1..n on w[i].loc do a[i] := 1.0; end; end.",
-			"needs a distributed one-dimensional array"},
-		{header + "begin forall i in 1..n on a[i*i].loc do a[i] := 1.0; end; end.",
-			"must be affine"},
-		{header + "begin forall i in 1..n on a[i].loc do w[i] := 1.0; end; end.",
-			"replicated array"},
-		{header + "begin forall i in 1..n on a[i].loc do k[i] := 1; end; end.",
-			"only real arrays"},
-		{header + "begin forall i in 1..n on a[i].loc do x := 1.0; end; end.",
-			"global scalar"},
-		{header + "begin forall i in 1..n on a[i].loc do forall i in 1..n on a[i].loc do a[i] := 1.0; end; end; end.",
-			"nested forall"},
-		// reduce discipline
-		{header + "begin reduce maxdiff(a) into x; end.", "takes 2"},
-		{header + "begin reduce maxdiff(a, b) into i; end.", "must be a real scalar"},
-		{header + "begin reduce maxdiff(a, w) into x; end.", "must be a distributed real array"},
-		{header + "begin reduce frobnicate(a) into x; end.", "unknown reduction"},
-		// declarations
-		{"processors P1 : array[1..4];\nconst n = 16;\nvar a : array[1..n] of real dist by [block, *] on P1;\nbegin end.",
-			"dist items"},
-		{"processors P1 : array[1..4];\nvar a : array[1..8] of real dist by [block] on Nope;\nbegin end.",
-			"unknown processor array"},
-		{"processors P1 : array[1..4];\nvar a : array[1..8] of boolean dist by [block];\nbegin end.",
-			"boolean arrays"},
-		{"processors P1 : array[1..4];\nvar a : real;\nvar a : integer;\nbegin end.",
-			"duplicate declaration"},
-		{"processors P1 : array[1..4];\nvar m : integer;\nvar a : array[1..m] of real;\nbegin end.",
-			"constant expressions"},
-	}
-	for _, c := range cases {
+	for _, c := range checkerErrorCases {
 		compileErr(t, c.src, c.want)
 	}
+}
+
+// FuzzCompile feeds arbitrary source to the front end: parsing and
+// checking must return a program or an error, never panic.  Seeded
+// with the corpus and the error tables' sources.
+func FuzzCompile(f *testing.F) {
+	corpus, err := filepath.Glob("testdata/*.kali")
+	if err != nil || len(corpus) == 0 {
+		f.Fatalf("no corpus programs (%v)", err)
+	}
+	for _, path := range corpus {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(string(src))
+	}
+	for _, c := range append(parserErrorCases, checkerErrorCases...) {
+		f.Add(c.src)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		prog, err := Compile(src)
+		if (prog == nil) == (err == nil) {
+			t.Fatalf("Compile returned program %v and error %v", prog != nil, err)
+		}
+	})
 }
 
 func TestRuntimeErrors(t *testing.T) {
@@ -459,5 +491,132 @@ end.
 				t.Fatalf("a[%d,%d] = %g, want %d", i, j, got, i*100+j)
 			}
 		}
+	}
+}
+
+// TestShadowedConstIsNotAffine: a forall local or inner for variable
+// that shadows a const is that variable, not the constant, in the
+// body's subscripts.  A[i+k] then depends on a run-time value, so the
+// read must be classified indirect (a compile-time schedule for the
+// constant's offset would read the wrong elements), and both runtimes
+// must read offset 5.
+func TestShadowedConstIsNotAffine(t *testing.T) {
+	const prologue = `
+processors Procs : array[1..P] with P in 1..8;
+const N = 32;
+      k = 1;
+var A, B : array[1..N] of real dist by [block] on Procs;
+    i : integer;
+begin
+  for i in 1..N do A[i] := float(i); B[i] := 0.0; end;
+  forall i in 1..N-6 on B[i].loc do
+`
+	cases := []struct{ name, body string }{
+		{"forall local", "    var k : integer;\n    k := 5;\n    B[i] := A[i+k];\n"},
+		{"inner for variable", "    for k in 5..5 do B[i] := A[i+k]; end;\n"},
+	}
+	for _, cse := range cases {
+		t.Run(cse.name, func(t *testing.T) {
+			prog, err := Compile(prologue + cse.body + "  end;\nend.\n")
+			if err != nil {
+				t.Fatal(err)
+			}
+			var read *ArrayRef
+			walkStmts(findForall(prog.file.Main, 0).Body, func(e Expr) {
+				if ref, ok := e.(*ArrayRef); ok && ref.Name == "A" {
+					read = ref
+				}
+			})
+			if read == nil || read.access != accIndirect {
+				t.Fatalf("A[i+k] classified %v, want indirect (%v)", read.access, accIndirect)
+			}
+			for _, noVM := range []bool{false, true} {
+				prog.NoVM = noVM
+				res, err := prog.Run(core.Config{P: 4, Params: machine.NCUBE7()})
+				if err != nil {
+					t.Fatalf("NoVM=%v: %v", noVM, err)
+				}
+				for i := 1; i <= 26; i++ {
+					if got := res.Arrays["B"][i-1]; got != float64(i+5) {
+						t.Fatalf("NoVM=%v: B[%d] = %g, want %d", noVM, i, got, i+5)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOnClauseResolvesBeforeLocals: on-clause subscripts resolve where
+// elaboration evaluates them — with only the index variables in scope
+// — so a body local never captures an on-clause name, in either rank.
+// Here the local k is real; the placement uses the integer const k.
+// Every row r > 1 of B ends up 2.5*r.
+func TestOnClauseResolvesBeforeLocals(t *testing.T) {
+	cases := []struct {
+		src    string
+		rowLen int
+	}{{`
+processors Procs : array[1..P] with P in 1..8;
+const N = 16;
+      k = 1;
+var A, B : array[1..N] of real dist by [block] on Procs;
+    i : integer;
+begin
+  for i in 1..N do A[i] := float(i); B[i] := 0.0; end;
+  forall i in 1..N-1 on B[i+k].loc do
+    var k : real;
+    k := 2.5;
+    B[i+1] := A[i+1] * k;
+  end;
+end.
+`, 1}, {`
+processors Procs : array[1..2, 1..2];
+const N = 4;
+      k = 1;
+var A, B : array[1..N, 1..N] of real dist by [block, block] on Procs;
+    i, j : integer;
+begin
+  for i in 1..N do for j in 1..N do A[i, j] := float(i); B[i, j] := 0.0; end; end;
+  forall i in 1..N-1, j in 0..N-1 on B[i+k, j+k].loc do
+    var k : real;
+    k := 2.5;
+    B[i+1, j+1] := A[i+1, j+1] * k;
+  end;
+end.
+`, 4}}
+	for _, cse := range cases {
+		prog, err := Compile(cse.src)
+		if err != nil {
+			t.Fatalf("%v\n%s", err, cse.src)
+		}
+		for _, noVM := range []bool{false, true} {
+			prog.NoVM = noVM
+			res, err := prog.Run(core.Config{P: 4, Params: machine.Ideal()})
+			if err != nil {
+				t.Fatalf("NoVM=%v: %v\n%s", noVM, err, cse.src)
+			}
+			for g, got := range res.Arrays["B"] {
+				want := 0.0
+				if r := g/cse.rowLen + 1; r > 1 {
+					want = 2.5 * float64(r)
+				}
+				if got != want {
+					t.Fatalf("NoVM=%v: element %d of B = %g, want %g\n%s", noVM, g+1, got, want, cse.src)
+				}
+			}
+		}
+	}
+}
+
+// TestProcessorBoundsMustBeFolded: processor bounds are evaluated
+// before P is chosen, so the checker rejects bounds that name P, a
+// constant depending on P, or a variable.
+func TestProcessorBoundsMustBeFolded(t *testing.T) {
+	for _, procs := range []string{
+		"processors Procs : array[1..P] with P in 1..m;\nconst m = 2*P;",
+		"processors Procs : array[1..P] with P in 1..P;",
+		"processors Procs : array[1..2*v];\nvar v : integer;",
+	} {
+		compileErr(t, procs+"\nbegin end.", "processor bounds must be constant expressions")
 	}
 }

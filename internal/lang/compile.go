@@ -13,10 +13,11 @@ import (
 // goroutines, each of which wraps it in its own vmState.
 //
 // What the compiler does that the tree walker could not:
-//   - scope resolution at compile time: forall index variables, local
-//     decls and sequential loop variables become fixed registers, and
-//     global scalars become pinned input registers refreshed once per
-//     launch — no map[string]*value lookups per element;
+//   - register binding of the checker's symbols: forall index
+//     variables, local decls and sequential loop variables (frame
+//     slots) become fixed registers, and global scalars become pinned
+//     input registers refreshed once per launch — no table lookups per
+//     element;
 //   - constant folding: subexpressions over literals and consts
 //     collapse into pinned constant registers loaded once per node
 //     (their would-be flops still charged, see below);
@@ -47,14 +48,14 @@ import (
 // cannot clobber a live value.
 
 // compileForalls lowers every forall body in the program.
-func compileForalls(f *File, consts map[string]value) map[*Forall]*compiledBody {
+func compileForalls(f *File, consts []value) map[*Forall]*compiledBody {
 	out := map[*Forall]*compiledBody{}
 	var walk func(ss []Stmt)
 	walk = func(ss []Stmt) {
 		for _, s := range ss {
 			switch s := s.(type) {
 			case *Forall:
-				out[s] = compileBody(f, s, consts)
+				out[s] = compileBody(s, consts)
 			case *ForLoop:
 				walk(s.Body)
 			case *While:
@@ -69,25 +70,13 @@ func compileForalls(f *File, consts map[string]value) map[*Forall]*compiledBody 
 	return out
 }
 
-// slotRef is a compile-time scope binding: a name resolved to a typed
-// register.
-type slotRef struct {
-	t   BaseType
-	reg int32
-}
-
 // comp is the per-body compiler state.
 type comp struct {
-	fa     *Forall
-	consts map[string]value
+	consts []value
 
-	arrays  map[string]*VarDecl // declared arrays
-	scalarT map[string]BaseType // declared global scalars
-
-	// slots is the current lexical scope (index variables, forall
-	// locals, sequential loop variables), mirroring the checker's
-	// insert/delete discipline.
-	slots map[string]slotRef
+	// regs holds the register of each frame slot of the forall (-1
+	// until the slot's symbol is first compiled).
+	regs []int32
 
 	code         []instr
 	nextF, nextI int32
@@ -100,77 +89,48 @@ type comp struct {
 	pool      []int // opLinI coefficient pool
 	poolIndex map[int]int32
 
-	scalars  []scalarInput
-	scalarIx map[string]int32
-
-	reals  []vmArraySlot
-	realIx map[string]int32
-	ints   []string
-	intIx  map[string]int32
+	scalars []scalarInput
 
 	// barrier marks the last jump-target boundary; charge() may fold a
-	// new flop charge into an immediately preceding opFlops only when no
-	// label was bound in between (a jump landing between them would skip
-	// or double charges).
+	// new flop charge into an earlier opFlops only when no label was
+	// bound in between (a jump landing between them would skip or
+	// double charges).
 	barrier int
 }
 
 // compileBody lowers one checked forall body.
-func compileBody(f *File, fa *Forall, consts map[string]value) *compiledBody {
+func compileBody(fa *Forall, consts []value) *compiledBody {
 	c := &comp{
-		fa:        fa,
 		consts:    consts,
-		arrays:    map[string]*VarDecl{},
-		scalarT:   map[string]BaseType{},
-		slots:     map[string]slotRef{},
+		regs:      make([]int32, fa.nLocals),
 		cfIndex:   map[uint64]int32{},
 		ciIndex:   map[int]int32{},
 		poolIndex: map[int]int32{},
-		scalarIx:  map[string]int32{},
-		realIx:    map[string]int32{},
-		intIx:     map[string]int32{},
 	}
-	for _, d := range f.Vars {
-		for _, name := range d.Names {
-			if len(d.Dims) == 0 {
-				c.scalarT[name] = d.Elem
-			} else {
-				c.arrays[name] = d
-			}
-		}
+	for k := range c.regs {
+		c.regs[k] = -1
 	}
-	// Bind the checker's slot numbering: every array read in the body
-	// already has its slot index on the ArrayRef nodes.
+	cb := &compiledBody{name: fmt.Sprintf("forall@%d", fa.Line), rank: 1, ints: fa.ints}
+	// Bind the checker's slot numbering: every array the body touches
+	// already has its slot index on the ArrayRef and Assign nodes.
 	ce := &constEval{consts: consts}
-	for _, name := range fa.slotNames {
-		c.realIx[name] = int32(len(c.reals))
-		c.reals = append(c.reals, c.arraySlot(ce, name))
-	}
-	for _, name := range fa.intSlotNames {
-		c.intIx[name] = int32(len(c.ints))
-		c.ints = append(c.ints, name)
+	for _, s := range fa.reals {
+		cb.reals = append(cb.reals, vmArraySlot{sym: s, n: ce.intVal(s.decl.Dims[0].Hi)})
 	}
 
-	cb := &compiledBody{name: fmt.Sprintf("forall@%d", fa.Line), rank: 1}
-	cb.iReg = c.tmpI()
-	c.slots[fa.Var] = slotRef{t: TInt, reg: cb.iReg}
+	cb.iReg = c.reg(fa.vars[0])
 	if fa.Var2 != "" {
 		cb.rank = 2
-		cb.jReg = c.tmpI()
-		c.slots[fa.Var2] = slotRef{t: TInt, reg: cb.jReg}
+		cb.jReg = c.reg(fa.vars[1])
 	}
 	// Forall locals reset to zero every iteration (the walker builds a
-	// fresh scope per element); the emitted body re-zeroes them at
+	// fresh frame per element); the emitted body re-zeroes them at
 	// entry.
 	for _, d := range fa.Decls {
-		if d.Type == TReal {
-			reg := c.tmpF()
+		if reg := c.reg(d.sym); d.Type == TReal {
 			c.add(opMovF, reg, c.constF(0), 0, 0)
-			c.slots[d.Name] = slotRef{t: TReal, reg: reg}
 		} else {
-			reg := c.tmpI()
 			c.add(opMovI, reg, c.constI(0), 0, 0)
-			c.slots[d.Name] = slotRef{t: d.Type, reg: reg}
 		}
 	}
 	c.stmts(fa.Body)
@@ -181,20 +141,7 @@ func compileBody(f *File, fa *Forall, consts map[string]value) *compiledBody {
 	cb.initF, cb.initI = c.initF, c.initI
 	cb.constI = c.pool
 	cb.scalars = c.scalars
-	cb.reals = c.reals
-	cb.ints = c.ints
 	return cb
-}
-
-// arraySlot builds the slot descriptor for a real array, evaluating
-// the declared shape for inline rank-2 linearization.
-func (c *comp) arraySlot(ce *constEval, name string) vmArraySlot {
-	d := c.arrays[name]
-	s := vmArraySlot{name: name, rank: len(d.Dims)}
-	for k, dim := range d.Dims {
-		s.shape[k] = ce.intVal(dim.Hi)
-	}
-	return s
 }
 
 // ---- registers, constants, inputs ------------------------------------
@@ -208,16 +155,21 @@ func (c *comp) add(op opcode, a, b, cc, d int32) int {
 }
 
 // charge emits k unit flop charges at the current code position,
-// coalescing with an immediately preceding opFlops when no jump target
-// separates them (adjacent charges replay as adjacent unit charges
-// either way, so coalescing is pure instruction-count savings).
+// coalescing with an earlier opFlops when only register arithmetic
+// separates them: no other charge, no jump, no jump target.  The
+// charges then replay as adjacent unit charges either way, so
+// coalescing is pure instruction-count savings.
 func (c *comp) charge(k int) {
 	if k == 0 {
 		return
 	}
-	if n := len(c.code); n > c.barrier && c.code[n-1].op == opFlops {
-		c.code[n-1].a += int32(k)
-		return
+	for n := len(c.code) - 1; n >= c.barrier; n-- {
+		if op := c.code[n].op; op == opFlops {
+			c.code[n].a += int32(k)
+			return
+		} else if !op.pure() {
+			break
+		}
 	}
 	c.add(opFlops, int32(k), 0, 0, 0)
 }
@@ -259,34 +211,33 @@ func (c *comp) poolI(v int) int32 {
 	return ix
 }
 
-// scalarReg returns the pinned input register for a global scalar,
-// registering it for per-launch refresh.
-func (c *comp) scalarReg(name string, t BaseType) int32 {
-	if ix, ok := c.scalarIx[name]; ok {
-		return c.scalars[ix].reg
-	}
-	var reg int32
+// tmp returns a fresh register in the file that holds type t.
+func (c *comp) tmp(t BaseType) int32 {
 	if t == TReal {
-		reg = c.tmpF()
-	} else {
-		reg = c.tmpI()
+		return c.tmpF()
 	}
-	c.scalarIx[name] = int32(len(c.scalars))
-	c.scalars = append(c.scalars, scalarInput{name: name, t: t, reg: reg})
-	return reg
+	return c.tmpI()
 }
 
-// realSlot resolves a real-array slot, extending the table for arrays
-// that are only written (the checker numbers reads).
-func (c *comp) realSlot(name string) int32 {
-	if ix, ok := c.realIx[name]; ok {
-		return ix
+// reg returns the register of a local (frame-slot) symbol.
+func (c *comp) reg(s *symbol) int32 {
+	if c.regs[s.index] < 0 {
+		c.regs[s.index] = c.tmp(s.typ)
 	}
-	ce := &constEval{consts: c.consts}
-	ix := int32(len(c.reals))
-	c.realIx[name] = ix
-	c.reals = append(c.reals, c.arraySlot(ce, name))
-	return ix
+	return c.regs[s.index]
+}
+
+// scalarReg returns the pinned input register for a global scalar,
+// registering it for per-launch refresh.
+func (c *comp) scalarReg(s *symbol) int32 {
+	for _, in := range c.scalars {
+		if in.sym == s {
+			return in.reg
+		}
+	}
+	reg := c.tmp(s.typ)
+	c.scalars = append(c.scalars, scalarInput{sym: s, reg: reg})
+	return reg
 }
 
 // ---- statements ------------------------------------------------------
@@ -315,16 +266,16 @@ func (c *comp) stmt(s Stmt) {
 func (c *comp) assign(s *Assign) {
 	// The walker evaluates the value first, then the indexes.
 	r, t := c.expr(s.X)
-	if sl, ok := c.slots[s.Name]; ok {
+	if v := s.sym; v.local {
 		switch {
-		case sl.t == t && t == TReal:
-			c.add(opMovF, sl.reg, r, 0, 0)
-		case sl.t == t:
-			c.add(opMovI, sl.reg, r, 0, 0)
-		case sl.t == TReal && t == TInt:
-			c.add(opIntToF, sl.reg, r, 0, 0)
+		case v.typ == t && t == TReal:
+			c.add(opMovF, c.reg(v), r, 0, 0)
+		case v.typ == t:
+			c.add(opMovI, c.reg(v), r, 0, 0)
+		case v.typ == TReal && t == TInt:
+			c.add(opIntToF, c.reg(v), r, 0, 0)
 		default:
-			panic(fmt.Sprintf("lang: compile: cannot assign %s to %s %q", t, sl.t, s.Name))
+			panic(fmt.Sprintf("lang: compile: cannot assign %s to %s %q", t, v.typ, s.Name))
 		}
 		return
 	}
@@ -332,7 +283,7 @@ func (c *comp) assign(s *Assign) {
 	if t == TInt {
 		r = c.widen(r, t)
 	}
-	slot := c.realSlot(s.Name)
+	slot := int32(s.slot)
 	switch len(s.Indexes) {
 	case 1:
 		i := c.idx(s.Indexes[0])
@@ -347,11 +298,10 @@ func (c *comp) assign(s *Assign) {
 }
 
 func (c *comp) forLoop(s *ForLoop) {
-	// Bounds are evaluated once, before the loop variable comes into
-	// scope, and copied into private registers: the body may assign the
-	// loop variable (or whatever the bound expressions read) without
-	// perturbing the trip count — exactly the walker's Go-loop
-	// semantics.
+	// Bounds are evaluated once, in the enclosing scope, and copied into
+	// private registers: the body may assign the loop variable (or
+	// whatever the bound expressions read) without perturbing the trip
+	// count — exactly the walker's Go-loop semantics.
 	lo, _ := c.expr(s.Lo)
 	hi, _ := c.expr(s.Hi)
 	cnt := c.tmpI()
@@ -359,25 +309,16 @@ func (c *comp) forLoop(s *ForLoop) {
 	lim := c.tmpI()
 	c.add(opMovI, lim, hi, 0, 0)
 
-	vs, existing := c.slots[s.Var]
-	if !existing {
-		vs = slotRef{t: TInt, reg: c.tmpI()}
-		c.slots[s.Var] = vs
-	}
+	v := c.reg(s.sym)
 
+	exit := c.add(opJmpGtI, 0, cnt, lim, 0)
 	head := len(c.code)
 	c.barrier = head
-	exit := c.add(opJmpGtI, 0, cnt, lim, 0)
-	c.add(opMovI, vs.reg, cnt, 0, 0)
+	c.add(opMovI, v, cnt, 0, 0)
 	c.stmts(s.Body)
-	c.add(opIncI, cnt, 0, 0, 0)
-	c.add(opJmp, int32(head), 0, 0, 0)
+	c.add(opNextI, int32(head), cnt, lim, 0)
 	c.code[exit].a = int32(len(c.code))
 	c.barrier = len(c.code)
-
-	if !existing {
-		delete(c.slots, s.Var) // the implicit variable's scope ends here
-	}
 }
 
 func (c *comp) ifStmt(s *If) {
@@ -451,22 +392,18 @@ func (c *comp) expr(e Expr) (int32, BaseType) {
 }
 
 func (c *comp) ident(e *Ident) (int32, BaseType) {
-	// Resolution order matches the walker: scope, constants, globals.
-	if sl, ok := c.slots[e.Name]; ok {
-		return sl.reg, sl.t
-	}
-	if v, ok := c.consts[e.Name]; ok {
+	switch s := e.sym; {
+	case s.local:
+		return c.reg(s), s.typ
+	case s.isConst():
+		v := c.consts[s.index]
 		if v.t == TReal {
 			return c.constF(v.f), TReal
 		}
 		return c.constI(v.i), TInt
+	default:
+		return c.scalarReg(s), s.typ
 	}
-	if t, ok := c.scalarT[e.Name]; ok {
-		return c.scalarReg(e.Name, t), t
-	}
-	// An enclosing top-level for-loop's implicitly declared (integer)
-	// variable: bound like any other global scalar input.
-	return c.scalarReg(e.Name, TInt), TInt
 }
 
 func (c *comp) binary(e *Binary) (int32, BaseType) {
@@ -602,11 +539,7 @@ func (c *comp) widen(r int32, t BaseType) int32 {
 // arrayRef compiles an array read, dispatching on the checker's access
 // classification exactly as the walker does.
 func (c *comp) arrayRef(e *ArrayRef) (int32, BaseType) {
-	d := c.arrays[e.Name]
-	if d == nil {
-		panic(fmt.Sprintf("lang: compile: unknown array %q", e.Name))
-	}
-	if d.Elem == TInt {
+	if e.sym.typ == TInt {
 		slot := int32(e.slot)
 		r := c.tmpI()
 		switch len(e.Indexes) {
@@ -675,25 +608,17 @@ func (c *comp) affine(ix Expr) (reg int32, a, k int, ok bool) {
 	case *IntLit:
 		return -1, 0, e.V, true
 	case *Ident:
-		if sl, ok := c.slots[e.Name]; ok {
-			if sl.t != TInt {
-				return -1, 0, 0, false
-			}
-			return sl.reg, 1, 0, true
+		switch s := e.sym; {
+		case s.isConst():
+			v := c.consts[s.index]
+			return -1, 0, v.i, v.t == TInt
+		case s.typ != TInt:
+			return -1, 0, 0, false
+		case s.local:
+			return c.reg(s), 1, 0, true
+		default:
+			return c.scalarReg(s), 1, 0, true
 		}
-		if v, ok := c.consts[e.Name]; ok {
-			if v.t != TInt {
-				return -1, 0, 0, false
-			}
-			return -1, 0, v.i, true
-		}
-		if t, ok := c.scalarT[e.Name]; ok {
-			if t != TInt {
-				return -1, 0, 0, false
-			}
-			return c.scalarReg(e.Name, TInt), 1, 0, true
-		}
-		return c.scalarReg(e.Name, TInt), 1, 0, true
 	case *Unary:
 		if e.Op != MINUS {
 			return -1, 0, 0, false
@@ -747,17 +672,13 @@ func (c *comp) affine(ix Expr) (reg int32, a, k int, ok bool) {
 // ---- constant folding ------------------------------------------------
 
 // foldable reports whether e is entirely computable from literals and
-// constants here (names shadowed by scope slots are not constants).
+// constants.
 func (c *comp) foldable(e Expr) bool {
 	switch e := e.(type) {
 	case *IntLit, *RealLit:
 		return true
 	case *Ident:
-		if _, shadowed := c.slots[e.Name]; shadowed {
-			return false
-		}
-		_, ok := c.consts[e.Name]
-		return ok
+		return e.sym.isConst()
 	case *Unary:
 		return e.Op == MINUS && c.foldable(e.X)
 	case *Binary:
@@ -799,7 +720,7 @@ func (c *comp) foldVal(e Expr) value {
 	case *RealLit:
 		return realVal(e.V)
 	case *Ident:
-		return c.consts[e.Name]
+		return c.consts[e.sym.index]
 	case *Unary:
 		v := c.foldVal(e.X)
 		if v.t == TInt {

@@ -1,6 +1,10 @@
 package lang
 
-import "math"
+import (
+	"math"
+
+	"kali/internal/analysis"
+)
 
 // This file is the one constant-expression evaluator behind every
 // elaboration-time context: const declarations (folded at Check time
@@ -19,11 +23,16 @@ import "math"
 // wrong constant poisons every distribution and schedule built from
 // it.
 
-// constEval evaluates constant expressions over an environment of
-// already-elaborated constant values.  Errors panic as *Error; use try
-// for a non-panicking entry point.
+// constEval evaluates constant expressions over the table of
+// already-elaborated constant values, indexed by the constant symbols
+// Check bound.  Errors panic as *Error; use try for a non-panicking
+// entry point.
 type constEval struct {
-	consts map[string]value
+	consts []value
+	// mapVar, when set, is a map clause's bound variable, evaluating
+	// to mapVal.
+	mapVar *symbol
+	mapVal int
 }
 
 // val evaluates e, panicking with a positioned *Error on non-constant
@@ -35,11 +44,13 @@ func (ce *constEval) val(e Expr) value {
 	case *RealLit:
 		return realVal(e.V)
 	case *Ident:
-		v, ok := ce.consts[e.Name]
-		if !ok {
-			panic(errf(e.Line, 1, "unknown constant %q", e.Name))
+		switch {
+		case e.sym.isConst():
+			return ce.consts[e.sym.index]
+		case e.sym != nil && e.sym == ce.mapVar:
+			return intVal(ce.mapVal)
 		}
-		return v
+		panic(errf(e.Line, 1, "unknown constant %q", e.Name))
 	case *Unary:
 		if e.Op != MINUS {
 			panic(errf(e.Line, 1, "operator %s is not allowed in constant expressions", e.Op))
@@ -70,13 +81,16 @@ func (ce *constEval) intVal(e Expr) int {
 	return v.i
 }
 
-// coeff evaluates a possibly-nil affine coefficient expression (nil
-// encodes 0, per checker.affineOf).
-func (ce *constEval) coeff(e Expr) int {
-	if e == nil {
-		return 0
+// affine evaluates an affine subscript form's coefficients (a nil
+// coefficient encodes 0, per affineOf).
+func (ce *constEval) affine(f affineForm) analysis.Affine {
+	coeff := func(e Expr) int {
+		if e == nil {
+			return 0
+		}
+		return ce.intVal(e)
 	}
-	return ce.intVal(e)
+	return analysis.Affine{A: coeff(f.a), C: coeff(f.c)}
 }
 
 // try is val with the panic converted back into an error return, for
@@ -178,32 +192,39 @@ func lineOf(e Expr) int {
 // positions at compile time, and so elaboration and the bytecode
 // compiler reuse one result instead of re-walking the expressions.
 // P-dependent constants stay unfolded; Program.elaborate evaluates
-// them once the real estate agent has chosen P.
-func foldConsts(f *File) error {
-	consts := map[string]value{}
-	pDep := map[string]bool{}
-	if sv := f.Procs.SizeVar; sv != "" {
-		pDep[sv] = true
+// them once the real estate agent has chosen P.  The returned table
+// marks, by constant index, P and every constant that depends on it.
+func foldConsts(f *File) ([]bool, error) {
+	consts := make([]value, f.nConsts)
+	pDep := make([]bool, f.nConsts)
+	if f.Procs.sym != nil {
+		pDep[f.Procs.sym.index] = true
 	}
 	for _, d := range f.Consts {
-		depends := false
-		walkExpr(d.X, func(x Expr) {
-			if id, ok := x.(*Ident); ok && pDep[id.Name] {
-				depends = true
-			}
-		})
-		if depends {
-			pDep[d.Name] = true
+		if dependsOn(d.X, pDep) {
+			pDep[d.sym.index] = true
 			d.Folded = false
 			continue
 		}
 		ce := &constEval{consts: consts}
 		v, err := ce.try(d.X)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		d.Folded, d.Val = true, v
-		consts[d.Name] = v
+		consts[d.sym.index] = v
 	}
-	return nil
+	return pDep, nil
+}
+
+// dependsOn reports whether the constant expression e names a constant
+// marked in pDep.
+func dependsOn(e Expr, pDep []bool) bool {
+	depends := false
+	walkExpr(e, func(x Expr) {
+		if id, ok := x.(*Ident); ok && id.sym.isConst() && pDep[id.sym.index] {
+			depends = true
+		}
+	})
+	return depends
 }

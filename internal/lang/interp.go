@@ -55,7 +55,7 @@ type Result struct {
 // the compiled bytecode for every forall body.  It is immutable and
 // shared read-only by every node goroutine.
 type elaboration struct {
-	consts   map[string]value
+	consts   []value // by constant symbol index
 	grid     *topology.Grid
 	procP    int
 	compiled map[*Forall]*compiledBody
@@ -79,11 +79,11 @@ func (p *Program) elaborate(availP int) (el *elaboration, err error) {
 		}
 	}()
 
-	consts := map[string]value{}
+	consts := make([]value, p.file.nConsts)
 	ce := &constEval{consts: consts}
 	for _, d := range p.file.Consts {
 		if d.Folded {
-			consts[d.Name] = d.Val
+			consts[d.sym.index] = d.Val
 		}
 	}
 	var grid *topology.Grid
@@ -115,12 +115,12 @@ func (p *Program) elaborate(availP int) (el *elaboration, err error) {
 		}
 		grid = topology.MustGrid(procP)
 	}
-	if p.file.Procs.SizeVar != "" {
-		consts[p.file.Procs.SizeVar] = intVal(procP)
+	if s := p.file.Procs.sym; s != nil {
+		consts[s.index] = intVal(procP)
 	}
 	for _, d := range p.file.Consts {
-		if !d.Folded && d.Name != p.file.Procs.SizeVar {
-			consts[d.Name] = ce.val(d.X)
+		if !d.Folded {
+			consts[d.sym.index] = ce.val(d.X)
 		}
 	}
 	el = &elaboration{consts: consts, grid: grid, procP: procP}
@@ -208,11 +208,14 @@ type interp struct {
 	file   *File
 	ctx    *core.Context
 	grid   *topology.Grid // the program's processor array (may be 2-D)
-	consts map[string]value
+	consts []value
 
-	scalars map[string]*value
-	arrays  map[string]*darray.Array
-	ints    map[string]*darray.IntArray
+	// The node's global tables, indexed by symbol: a scalar symbol
+	// selects its value, an array symbol its real or integer array (the
+	// other table holds nil there).
+	scalars []value
+	arrays  []*darray.Array
+	ints    []*darray.IntArray
 
 	// compiled forall bodies (shared, host-compiled) and this node's
 	// VM states for them; nil/empty under NoVM.
@@ -243,9 +246,9 @@ func newInterp(f *File, ctx *core.Context, el *elaboration) *interp {
 		consts:   el.consts,
 		compiled: el.compiled,
 		vms:      map[*Forall]*vmState{},
-		scalars:  map[string]*value{},
-		arrays:   map[string]*darray.Array{},
-		ints:     map[string]*darray.IntArray{},
+		scalars:  make([]value, f.nScalars),
+		arrays:   make([]*darray.Array, f.nArrays),
+		ints:     make([]*darray.IntArray, f.nArrays),
 		loops:    map[*Forall]*forall.Loop{},
 		loops2:   map[*Forall]*forall.Loop2{},
 		seqs:     map[*Forall][]forall.SeqLoop{},
@@ -309,10 +312,10 @@ func arith(op Kind, l, r value) value {
 func (in *interp) declareArrays() {
 	ce := &constEval{consts: in.consts}
 	for _, d := range in.file.Vars {
-		for _, name := range d.Names {
+		for k, name := range d.Names {
+			s := d.syms[k]
 			if len(d.Dims) == 0 {
-				v := value{t: d.Elem}
-				in.scalars[name] = &v
+				in.scalars[s.index] = value{t: d.Elem}
 				continue
 			}
 			shape := make([]int, len(d.Dims))
@@ -334,9 +337,9 @@ func (in *interp) declareArrays() {
 				dd = in.elabDist(name, shape, d.Dist)
 			}
 			if d.Elem == TInt {
-				in.ints[name] = darray.NewInt(name, dd, in.ctx.Node)
+				in.ints[s.index] = darray.NewInt(name, dd, in.ctx.Node)
 			} else {
-				in.arrays[name] = darray.New(name, dd, in.ctx.Node)
+				in.arrays[s.index] = darray.New(name, dd, in.ctx.Node)
 			}
 		}
 	}
@@ -360,12 +363,9 @@ func (in *interp) elabDist(name string, shape []int, items []DistItem) *dist.Dis
 			specs[k] = dist.BlockCyclicDim(ce.intVal(item.Block))
 		case KWMap:
 			owners := make([]int, shape[k])
-			mce := &constEval{consts: map[string]value{}}
-			for cn, cv := range in.consts {
-				mce.consts[cn] = cv
-			}
+			mce := &constEval{consts: in.consts, mapVar: item.mapSym}
 			for i := 1; i <= shape[k]; i++ {
-				mce.consts[item.MapVar] = intVal(i)
+				mce.mapVal = i
 				owners[i-1] = mce.intVal(item.MapExpr)
 			}
 			specs[k] = dist.MapDim(owners)
@@ -380,15 +380,13 @@ func (in *interp) elabDist(name string, shape []int, items []DistItem) *dist.Dis
 	return dd
 }
 
-// scope is the forall-body local variable scope.
-type scope map[string]*value
-
-// execStmts interprets a statement list.  env is non-nil inside a
-// forall body.  At the top level (env == nil), maximal runs of
-// adjacent foralls are batched through the engine's sequence API so
-// independent loops aggregate their messages (§3.2 across loops); a
-// lone forall takes the ordinary path.
-func (in *interp) execStmts(ss []Stmt, sc scope, env *forall.Env) {
+// execStmts interprets a statement list.  fr (the iteration's frame of
+// local slots) and env are non-nil inside a forall body.  At the top
+// level (env == nil), maximal runs of adjacent foralls are batched
+// through the engine's sequence API so independent loops aggregate
+// their messages (§3.2 across loops); a lone forall takes the ordinary
+// path.
+func (in *interp) execStmts(ss []Stmt, fr []value, env *forall.Env) {
 	for k := 0; k < len(ss); k++ {
 		if env == nil {
 			if _, ok := ss[k].(*Forall); ok {
@@ -406,7 +404,7 @@ func (in *interp) execStmts(ss []Stmt, sc scope, env *forall.Env) {
 				}
 			}
 		}
-		in.execStmt(ss[k], sc, env)
+		in.execStmt(ss[k], fr, env)
 	}
 }
 
@@ -421,7 +419,10 @@ func (in *interp) execForallSeq(run []Stmt) {
 		seq = make([]forall.SeqLoop, len(run))
 		for k, s := range run {
 			fa := s.(*Forall)
-			sl := forall.SeqLoop{Writes: in.writeArrays(fa)}
+			var sl forall.SeqLoop
+			for _, w := range fa.writes {
+				sl.Writes = append(sl.Writes, in.arrays[w.index])
+			}
 			if fa.Var2 != "" {
 				sl.L2 = in.loop2For(fa)
 			} else {
@@ -451,86 +452,43 @@ func (in *interp) execForallSeq(run []Stmt) {
 	in.ctx.ForallSeq(seq)
 }
 
-// writeArrays collects the distinct distributed real arrays a forall
-// body assigns to — the write set the fusion planner breaks windows
-// on.  Indexed assigns inside nested control flow count; scalar and
-// body-local assigns do not touch distributed state.
-func (in *interp) writeArrays(fa *Forall) []*darray.Array {
-	var out []*darray.Array
-	seen := map[string]bool{}
-	var walk func(ss []Stmt)
-	walk = func(ss []Stmt) {
-		for _, s := range ss {
-			switch s := s.(type) {
-			case *Assign:
-				if len(s.Indexes) > 0 && !seen[s.Name] {
-					if a, ok := in.arrays[s.Name]; ok {
-						seen[s.Name] = true
-						out = append(out, a)
-					}
-				}
-			case *ForLoop:
-				walk(s.Body)
-			case *While:
-				walk(s.Body)
-			case *If:
-				walk(s.Then)
-				walk(s.Else)
-			}
-		}
+// slot returns the storage of a scalar variable: its frame slot when
+// local, else its global table entry.
+func (in *interp) slot(s *symbol, fr []value) *value {
+	if s.local {
+		return &fr[s.index]
 	}
-	walk(fa.Body)
-	return out
+	return &in.scalars[s.index]
 }
 
-func (in *interp) execStmt(s Stmt, sc scope, env *forall.Env) {
+func (in *interp) execStmt(s Stmt, fr []value, env *forall.Env) {
 	switch s := s.(type) {
 	case *Assign:
-		in.execAssign(s, sc, env)
+		in.execAssign(s, fr, env)
 	case *Forall:
 		in.execForall(s)
 	case *ForLoop:
-		lo := in.evalExpr(s.Lo, sc, env).i
-		hi := in.evalExpr(s.Hi, sc, env).i
-		var slot *value
-		if sc != nil {
-			if v, ok := sc[s.Var]; ok {
-				slot = v
-			} else {
-				v := intVal(lo)
-				sc[s.Var] = &v
-				slot = &v
-				defer delete(sc, s.Var)
-			}
-		} else if v, ok := in.scalars[s.Var]; ok {
-			slot = v
-		} else {
-			v := intVal(lo)
-			in.scalars[s.Var] = &v
-			slot = &v
-			defer delete(in.scalars, s.Var)
-		}
+		lo := in.evalExpr(s.Lo, fr, env).i
+		hi := in.evalExpr(s.Hi, fr, env).i
+		slot := in.slot(s.sym, fr)
 		for x := lo; x <= hi; x++ {
 			*slot = intVal(x)
-			in.execStmts(s.Body, sc, env)
+			in.execStmts(s.Body, fr, env)
 		}
 	case *While:
-		for in.evalExpr(s.Cond, sc, env).b {
-			in.execStmts(s.Body, sc, env)
+		for in.evalExpr(s.Cond, fr, env).b {
+			in.execStmts(s.Body, fr, env)
 		}
 	case *If:
-		if in.evalExpr(s.Cond, sc, env).b {
-			in.execStmts(s.Then, sc, env)
+		if in.evalExpr(s.Cond, fr, env).b {
+			in.execStmts(s.Then, fr, env)
 		} else {
-			in.execStmts(s.Else, sc, env)
+			in.execStmts(s.Else, fr, env)
 		}
 	case *Reduce:
 		in.execReduce(s)
 	case *Redistribute:
-		a := in.arrays[s.Name]
-		if a == nil {
-			panic(fmt.Sprintf("redistribute target %q is not a real array", s.Name))
-		}
+		a := in.arrays[s.sym.index]
 		nd, ok := in.redists[s]
 		if !ok {
 			nd = in.elabDist(s.Name, a.Shape(), s.Items)
@@ -543,24 +501,18 @@ func (in *interp) execStmt(s Stmt, sc scope, env *forall.Env) {
 }
 
 // execAssign handles scalar, local, and array writes.
-func (in *interp) execAssign(s *Assign, sc scope, env *forall.Env) {
-	val := in.evalExpr(s.X, sc, env)
-	if sc != nil {
-		if slot, ok := sc[s.Name]; ok {
-			*slot = coerce(val, slot.t)
-			return
-		}
-	}
-	if slot, ok := in.scalars[s.Name]; ok && len(s.Indexes) == 0 {
-		*slot = coerce(val, slot.t)
+func (in *interp) execAssign(s *Assign, fr []value, env *forall.Env) {
+	val := in.evalExpr(s.X, fr, env)
+	if s.sym.kind == symVar {
+		*in.slot(s.sym, fr) = coerce(val, s.sym.typ)
 		return
 	}
 	// Array element write.
 	idx := make([]int, len(s.Indexes))
 	for k, ix := range s.Indexes {
-		idx[k] = in.evalExpr(ix, sc, env).i
+		idx[k] = in.evalExpr(ix, fr, env).i
 	}
-	if a, ok := in.arrays[s.Name]; ok {
+	if a := in.arrays[s.sym.index]; a != nil {
 		if env != nil {
 			// Inside a forall: owner-computes write through the engine.
 			env.WriteAt(a, val.asReal(), idx...)
@@ -573,17 +525,11 @@ func (in *interp) execAssign(s *Assign, sc scope, env *forall.Env) {
 		}
 		return
 	}
-	if ia, ok := in.ints[s.Name]; ok {
-		if env != nil {
-			panic(fmt.Sprintf("write to integer array %q inside forall", s.Name))
-		}
-		if ia.IsLocal(idx...) {
-			ia.Set(val.i, idx...)
-			ia.Bump() // pattern-driving contents changed
-		}
-		return
+	// Integer arrays are written only at top level (checker-enforced).
+	if ia := in.ints[s.sym.index]; ia.IsLocal(idx...) {
+		ia.Set(val.i, idx...)
+		ia.Bump() // pattern-driving contents changed
 	}
-	panic(fmt.Sprintf("unknown assignment target %q", s.Name))
 }
 
 func coerce(v value, t BaseType) value {
@@ -645,51 +591,21 @@ func (in *interp) loop2For(fa *Forall) *forall.Loop2 {
 
 // buildLoop2 translates a two-index Forall into a forall.Loop2.
 func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
+	on := in.onArray(fa)
 	ce := &constEval{consts: in.consts}
-	onArr := in.arrays[fa.OnArray]
-	if onArr == nil {
-		panic(fmt.Sprintf("on-clause array %q is not a real array", fa.OnArray))
-	}
-	// Elaborate the per-dimension affine on-clause subscripts.
-	ck := &checker{syms: in.checkerSyms()}
-	aIE, cIE, okI := ck.affineOf(fa.OnIndex, fa.Var)
-	aJE, cJE, okJ := ck.affineOf(fa.OnIndex2, fa.Var2)
-	if !okI || !okJ {
-		panic("2-D on clause subscripts not affine (checker should have caught this)")
-	}
-	onF2 := analysis.Affine2{
-		I: analysis.Affine{A: ce.coeff(aIE), C: ce.coeff(cIE)},
-		J: analysis.Affine{A: ce.coeff(aJE), C: ce.coeff(cJE)},
-	}
+	onF2 := analysis.Affine2{I: ce.affine(fa.on[0]), J: ce.affine(fa.on[1])}
 	// A constant coefficient expression can evaluate to zero (only
 	// elaboration knows the const values); diagnose it with the source
 	// line instead of letting the engine panic.
 	if onF2.I.A == 0 || onF2.J.A == 0 {
 		panic(fmt.Sprintf("line %d: on clause subscript coefficient evaluates to zero (not affine in the index variable)", fa.Line))
 	}
-	var reads []forall.ReadSpec
-	for _, ri := range fa.reads {
-		arr := in.arrays[ri.array]
-		if ri.affine2 {
-			aff := &analysis.Affine2{
-				I: analysis.Affine{A: ce.coeff(ri.aIExpr), C: ce.coeff(ri.cIExpr)},
-				J: analysis.Affine{A: ce.coeff(ri.aJExpr), C: ce.coeff(ri.cJExpr)},
-			}
-			reads = append(reads, forall.ReadSpec{Array: arr, Affine2: aff})
-			continue
-		}
-		reads = append(reads, forall.ReadSpec{Array: arr})
-	}
-	var deps []forall.Dep
-	for _, d := range fa.deps {
-		deps = append(deps, in.ints[d])
-	}
 	loop := &forall.Loop2{
 		Name:      fmt.Sprintf("forall2@%d", fa.Line),
-		On:        onArr,
+		On:        on,
 		OnF2:      onF2,
-		Reads:     reads,
-		DependsOn: deps,
+		Reads:     in.readSpecs(fa, ce),
+		DependsOn: in.deps(fa),
 	}
 	if cb := in.compiled[fa]; cb != nil {
 		st := newVMState(cb, in)
@@ -697,15 +613,9 @@ func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 		loop.Body = st.body2
 	} else {
 		loop.Body = func(i, j int, env *forall.Env) {
-			sc := scope{
-				fa.Var:  &value{t: TInt, i: i},
-				fa.Var2: &value{t: TInt, i: j},
-			}
-			for _, d := range fa.Decls {
-				v := value{t: d.Type}
-				sc[d.Name] = &v
-			}
-			in.execStmts(fa.Body, sc, env)
+			fr := newFrame(fa)
+			fr[0], fr[1] = intVal(i), intVal(j)
+			in.execStmts(fa.Body, fr, env)
 		}
 	}
 	return loop
@@ -713,42 +623,18 @@ func (in *interp) buildLoop2(fa *Forall) *forall.Loop2 {
 
 // buildLoop translates an annotated Forall into a forall.Loop.
 func (in *interp) buildLoop(fa *Forall) *forall.Loop {
+	on := in.onArray(fa)
 	ce := &constEval{consts: in.consts}
-	onArr := in.arrays[fa.OnArray]
-	if onArr == nil {
-		panic(fmt.Sprintf("on-clause array %q is not a real array", fa.OnArray))
-	}
-	// Elaborate the on-clause affine subscript.
-	aE, cE, ok := (&checker{syms: in.checkerSyms()}).affineOf(fa.OnIndex, fa.Var)
-	if !ok {
-		panic("on clause subscript not affine (checker should have caught this)")
-	}
-	onF := analysis.Affine{A: ce.coeff(aE), C: ce.coeff(cE)}
+	onF := ce.affine(fa.on[0])
 	if onF.A == 0 {
 		panic(fmt.Sprintf("line %d: on clause subscript coefficient evaluates to zero (not affine in the index variable)", fa.Line))
 	}
-
-	var reads []forall.ReadSpec
-	for _, ri := range fa.reads {
-		arr := in.arrays[ri.array]
-		if ri.affine {
-			aff := &analysis.Affine{A: ce.coeff(ri.aExpr), C: ce.coeff(ri.cExpr)}
-			reads = append(reads, forall.ReadSpec{Array: arr, Affine: aff})
-		} else {
-			reads = append(reads, forall.ReadSpec{Array: arr})
-		}
-	}
-	var deps []forall.Dep
-	for _, d := range fa.deps {
-		deps = append(deps, in.ints[d])
-	}
-
 	loop := &forall.Loop{
 		Name:      fmt.Sprintf("forall@%d", fa.Line),
-		On:        onArr,
+		On:        on,
 		OnF:       onF,
-		Reads:     reads,
-		DependsOn: deps,
+		Reads:     in.readSpecs(fa, ce),
+		DependsOn: in.deps(fa),
 	}
 	if cb := in.compiled[fa]; cb != nil {
 		st := newVMState(cb, in)
@@ -756,47 +642,69 @@ func (in *interp) buildLoop(fa *Forall) *forall.Loop {
 		loop.Body = st.body1
 	} else {
 		loop.Body = func(i int, env *forall.Env) {
-			sc := scope{fa.Var: &value{t: TInt, i: i}}
-			for _, d := range fa.Decls {
-				v := value{t: d.Type}
-				sc[d.Name] = &v
-			}
-			in.execStmts(fa.Body, sc, env)
+			fr := newFrame(fa)
+			fr[0] = intVal(i)
+			in.execStmts(fa.Body, fr, env)
 		}
 	}
 	return loop
 }
 
-// checkerSyms rebuilds a checker symbol table for affine re-analysis
-// during elaboration.
-func (in *interp) checkerSyms() map[string]*symbol {
-	syms := map[string]*symbol{}
-	if in.file.Procs.SizeVar != "" {
-		syms[in.file.Procs.SizeVar] = &symbol{kind: symProcSize, typ: TInt}
+// newFrame returns a fresh iteration frame for fa's body, its locals
+// zeroed; the caller sets the index variables in slots 0 and 1.
+func newFrame(fa *Forall) []value {
+	fr := make([]value, fa.nLocals)
+	for _, d := range fa.Decls {
+		fr[d.sym.index] = value{t: d.Type}
 	}
-	for _, d := range in.file.Consts {
-		syms[d.Name] = &symbol{kind: symConst, typ: TInt}
+	return fr
+}
+
+// onArray returns the forall's placement array.
+func (in *interp) onArray(fa *Forall) *darray.Array {
+	a := in.arrays[fa.onSym.index]
+	if a == nil {
+		panic(fmt.Sprintf("on-clause array %q is not a real array", fa.OnArray))
 	}
-	for _, d := range in.file.Vars {
-		for _, name := range d.Names {
-			if len(d.Dims) == 0 {
-				syms[name] = &symbol{kind: symScalar, typ: d.Elem}
-			} else {
-				syms[name] = &symbol{kind: symArray, typ: d.Elem, decl: d}
-			}
+	return a
+}
+
+// readSpecs elaborates the forall's read slots, evaluating the affine
+// coefficients the checker derived.
+func (in *interp) readSpecs(fa *Forall, ce *constEval) []forall.ReadSpec {
+	var reads []forall.ReadSpec
+	for _, ri := range fa.reads {
+		rs := forall.ReadSpec{Array: in.arrays[ri.array.index]}
+		switch {
+		case ri.affine:
+			aff := ce.affine(ri.i)
+			rs.Affine = &aff
+		case ri.affine2:
+			rs.Affine2 = &analysis.Affine2{I: ce.affine(ri.i), J: ce.affine(ri.j)}
 		}
+		reads = append(reads, rs)
 	}
-	return syms
+	return reads
+}
+
+// deps returns the integer arrays the forall's reference pattern
+// depends on.
+func (in *interp) deps(fa *Forall) []forall.Dep {
+	var deps []forall.Dep
+	for _, d := range fa.deps {
+		deps = append(deps, in.ints[d.index])
+	}
+	return deps
 }
 
 // execReduce implements the reduce statement: local fold over owned
 // elements, then a machine AllReduce.
 func (in *interp) execReduce(s *Reduce) {
-	a := in.arrays[s.Args[0]]
+	a := in.arrays[s.argSyms[0].index]
 	local := 0.0
 	switch s.Op {
 	case "maxdiff":
-		b := in.arrays[s.Args[1]]
+		b := in.arrays[s.argSyms[1].index]
 		a.EachLocal(func(g int) {
 			d := math.Abs(a.GetLinear(g) - b.GetLinear(g))
 			if d > local {
@@ -826,11 +734,12 @@ func (in *interp) execReduce(s *Reduce) {
 		})
 		local = in.ctx.AllReduce(local, "min")
 	}
-	in.scalars[s.Into].f = local
+	in.scalars[s.intoSym.index].f = local
 }
 
-// evalExpr evaluates an expression; env is non-nil inside foralls.
-func (in *interp) evalExpr(e Expr, sc scope, env *forall.Env) value {
+// evalExpr evaluates an expression; fr and env are non-nil inside
+// foralls.
+func (in *interp) evalExpr(e Expr, fr []value, env *forall.Env) value {
 	switch e := e.(type) {
 	case *IntLit:
 		return intVal(e.V)
@@ -839,22 +748,14 @@ func (in *interp) evalExpr(e Expr, sc scope, env *forall.Env) value {
 	case *BoolLit:
 		return boolVal(e.V)
 	case *Ident:
-		if sc != nil {
-			if v, ok := sc[e.Name]; ok {
-				return *v
-			}
+		if e.sym.isConst() {
+			return in.consts[e.sym.index]
 		}
-		if v, ok := in.consts[e.Name]; ok {
-			return v
-		}
-		if v, ok := in.scalars[e.Name]; ok {
-			return *v
-		}
-		panic(fmt.Sprintf("unknown name %q", e.Name))
+		return *in.slot(e.sym, fr)
 	case *ArrayRef:
-		return in.evalArrayRef(e, sc, env)
+		return in.evalArrayRef(e, fr, env)
 	case *Unary:
-		v := in.evalExpr(e.X, sc, env)
+		v := in.evalExpr(e.X, fr, env)
 		if e.Op == KWNot {
 			return boolVal(!v.b)
 		}
@@ -866,8 +767,8 @@ func (in *interp) evalExpr(e Expr, sc scope, env *forall.Env) value {
 		}
 		return realVal(-v.f)
 	case *Binary:
-		l := in.evalExpr(e.L, sc, env)
-		r := in.evalExpr(e.R, sc, env)
+		l := in.evalExpr(e.L, fr, env)
+		r := in.evalExpr(e.R, fr, env)
 		if env != nil {
 			env.Flops(1)
 		}
@@ -875,7 +776,7 @@ func (in *interp) evalExpr(e Expr, sc scope, env *forall.Env) value {
 	case *Call:
 		args := make([]value, len(e.Args))
 		for k, a := range e.Args {
-			args[k] = in.evalExpr(a, sc, env)
+			args[k] = in.evalExpr(a, fr, env)
 		}
 		if env != nil {
 			env.Flops(1)
@@ -901,12 +802,12 @@ func (in *interp) evalExpr(e Expr, sc scope, env *forall.Env) value {
 }
 
 // evalArrayRef dispatches on the checker's access classification.
-func (in *interp) evalArrayRef(e *ArrayRef, sc scope, env *forall.Env) value {
+func (in *interp) evalArrayRef(e *ArrayRef, fr []value, env *forall.Env) value {
 	idx := make([]int, len(e.Indexes))
 	for k, ix := range e.Indexes {
-		idx[k] = in.evalExpr(ix, sc, env).i
+		idx[k] = in.evalExpr(ix, fr, env).i
 	}
-	if ia, ok := in.ints[e.Name]; ok {
+	if ia := in.ints[e.sym.index]; ia != nil {
 		if env != nil {
 			switch len(idx) {
 			case 1:
@@ -917,10 +818,7 @@ func (in *interp) evalArrayRef(e *ArrayRef, sc scope, env *forall.Env) value {
 		}
 		return intVal(ia.Get(idx...))
 	}
-	a := in.arrays[e.Name]
-	if a == nil {
-		panic(fmt.Sprintf("unknown array %q", e.Name))
-	}
+	a := in.arrays[e.sym.index]
 	if env == nil {
 		// Top level: checker restricts this to replicated arrays.
 		return realVal(a.Get(idx...))
@@ -947,33 +845,37 @@ func (in *interp) evalArrayRef(e *ArrayRef, sc scope, env *forall.Env) value {
 // owners; node 0 reports scalars and replicated arrays.
 func (in *interp) gather(res *Result) {
 	me := in.ctx.ID()
-	for name, a := range in.arrays {
-		buf := res.Arrays[name]
-		if a.Replicated() {
-			if me == 0 {
-				for g := 1; g <= a.Size(); g++ {
-					buf[g-1] = a.GetLinear(g)
+	for _, d := range in.file.Vars {
+		for k, name := range d.Names {
+			s := d.syms[k]
+			switch {
+			case len(d.Dims) == 0:
+				if me == 0 {
+					res.Scalars[name] = in.scalars[s.index].asReal()
 				}
+			case d.Elem == TInt:
+				ia, buf := in.ints[s.index], res.IntArrays[name]
+				if ia.Dist().Replicated() {
+					if me == 0 {
+						copy(buf, ia.LocalValues())
+					}
+					continue
+				}
+				ia.EachLocal(func(g int) {
+					buf[g-1] = ia.Get(delinearizeShape(ia.Shape(), g)...)
+				})
+			default:
+				a, buf := in.arrays[s.index], res.Arrays[name]
+				if a.Replicated() {
+					if me == 0 {
+						for g := 1; g <= a.Size(); g++ {
+							buf[g-1] = a.GetLinear(g)
+						}
+					}
+					continue
+				}
+				a.EachLocal(func(g int) { buf[g-1] = a.GetLinear(g) })
 			}
-			continue
-		}
-		a.EachLocal(func(g int) { buf[g-1] = a.GetLinear(g) })
-	}
-	for name, ia := range in.ints {
-		buf := res.IntArrays[name]
-		if ia.Dist().Replicated() {
-			if me == 0 {
-				copy(buf, ia.LocalValues())
-			}
-			continue
-		}
-		ia.EachLocal(func(g int) {
-			buf[g-1] = ia.Get(delinearizeShape(ia.Shape(), g)...)
-		})
-	}
-	if me == 0 {
-		for name, v := range in.scalars {
-			res.Scalars[name] = v.asReal()
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 // (compile.go is the lowering half).  A compiled body is a flat
 // instruction array over two typed register files — float64 registers
 // for real values and int registers for integers and booleans (0/1) —
-// with the node's array headers bound to numbered slots and all scope
-// resolution done at compile time.  Executing one iteration walks the
+// with the node's array headers bound to numbered slots and every name
+// bound to a register at compile time.  Executing one iteration walks the
 // instruction array with no allocation, no map lookups, and no
 // interface boxing; all distributed-memory semantics stay behind the
 // same forall.Env calls the tree-walking interpreter uses, so the two
@@ -41,8 +41,11 @@ const (
 	opFlops                  // a × env.Flops(1): positioned cost-model charges
 	opJmp                    // pc = a
 	opJmpIfNot               // if n[b] == 0 → pc = a
-	opJmpGtI                 // if n[b] > n[c] → pc = a (for-loop exit)
+	opJmpGtI                 // if n[b] > n[c] → pc = a (for-loop entry test)
+	opNextI                  // n[b]++; if n[b] <= n[c] → pc = a (for-loop step)
 
+	// opMovF through opMaxF are pure register arithmetic: no charge,
+	// no control flow, no memory access.
 	opMovF   // f[a] = f[b]
 	opMovI   // n[a] = n[b]
 	opIntToF // f[a] = float64(n[b])
@@ -59,7 +62,6 @@ const (
 	opMulI
 	opDivI
 	opModI
-	opIncI // n[a]++
 	opLinI // n[a] = n[b]*constI[c] + constI[d] (strength-reduced affine subscript)
 
 	opLtF // n[a] = b2i(f[b] < f[c]) — ints widen first, matching the walker's float compares
@@ -89,6 +91,9 @@ const (
 	opSt2    // env.Write2(reals[b], n[c], n[d], f[a])
 )
 
+// pure reports whether op only computes on registers (see opMovF).
+func (op opcode) pure() bool { return op >= opMovF && op <= opMaxF }
+
 // instr is one VM instruction.
 type instr struct {
 	op         opcode
@@ -111,18 +116,16 @@ type iInit struct {
 // execution — the checker forbids assigning globals inside bodies) to
 // a pinned register; execForall refreshes the values at each launch.
 type scalarInput struct {
-	name string
-	t    BaseType
-	reg  int32
+	sym *symbol
+	reg int32
 }
 
-// vmArraySlot describes one bound array: its name (resolved against
-// the node's headers when the vmState is created) and, for rank-2
-// arrays, the declared shape used to inline row-major linearization.
+// vmArraySlot describes one bound real array: its symbol (selecting
+// the node's header when the vmState is created) and its first
+// dimension's extent, which bounds-checks rank-1 stores.
 type vmArraySlot struct {
-	name  string
-	rank  int
-	shape [2]int
+	sym *symbol
+	n   int
 }
 
 // compiledBody is the immutable output of compileBody, shared by every
@@ -141,7 +144,7 @@ type compiledBody struct {
 
 	scalars []scalarInput
 	reals   []vmArraySlot
-	ints    []string
+	ints    []*symbol
 }
 
 // vmState is one node's execution state for one compiled body: the
@@ -169,19 +172,11 @@ func newVMState(cb *compiledBody, in *interp) *vmState {
 	}
 	st.ra = make([]*darray.Array, len(cb.reals))
 	for k, s := range cb.reals {
-		a := in.arrays[s.name]
-		if a == nil {
-			panic(fmt.Sprintf("lang: vm slot %d: unknown real array %q", k, s.name))
-		}
-		st.ra[k] = a
+		st.ra[k] = in.arrays[s.sym.index]
 	}
 	st.ia = make([]*darray.IntArray, len(cb.ints))
-	for k, name := range cb.ints {
-		ia := in.ints[name]
-		if ia == nil {
-			panic(fmt.Sprintf("lang: vm slot %d: unknown integer array %q", k, name))
-		}
-		st.ia[k] = ia
+	for k, s := range cb.ints {
+		st.ia[k] = in.ints[s.index]
 	}
 	return st
 }
@@ -191,11 +186,8 @@ func newVMState(cb *compiledBody, in *interp) *vmState {
 // values cannot change mid-loop).
 func (st *vmState) bindScalars(in *interp) {
 	for _, s := range st.cb.scalars {
-		v := in.scalars[s.name]
-		if v == nil {
-			panic(fmt.Sprintf("lang: vm scalar input %q is not bound", s.name))
-		}
-		switch s.t {
+		v := in.scalars[s.sym.index]
+		switch s.sym.typ {
 		case TReal:
 			st.f[s.reg] = v.f
 		case TInt:
@@ -244,6 +236,10 @@ func (st *vmState) exec(i, j int, env *forall.Env) {
 			if n[ins.b] > n[ins.c] {
 				pc = int(ins.a)
 			}
+		case opNextI:
+			if n[ins.b]++; n[ins.b] <= n[ins.c] {
+				pc = int(ins.a)
+			}
 
 		case opMovF:
 			f[ins.a] = f[ins.b]
@@ -276,8 +272,6 @@ func (st *vmState) exec(i, j int, env *forall.Env) {
 			n[ins.a] = n[ins.b] / n[ins.c]
 		case opModI:
 			n[ins.a] = n[ins.b] % n[ins.c]
-		case opIncI:
-			n[ins.a]++
 		case opLinI:
 			n[ins.a] = n[ins.b]*cb.constI[ins.c] + cb.constI[ins.d]
 
@@ -339,9 +333,8 @@ func (st *vmState) exec(i, j int, env *forall.Env) {
 // lin1 bounds-checks a rank-1 store coordinate (matching
 // darray.linearize, which the walker reaches through Array.Linear).
 func (st *vmState) lin1(slot int32, i int) int {
-	sh := &st.cb.reals[slot].shape
-	if i < 1 || i > sh[0] {
-		panic(fmt.Sprintf("darray: coordinate %d out of [1..%d] in dim 0", i, sh[0]))
+	if n := st.cb.reals[slot].n; i < 1 || i > n {
+		panic(fmt.Sprintf("darray: coordinate %d out of [1..%d] in dim 0", i, n))
 	}
 	return i
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kali/internal/core"
+	"kali/internal/forall"
 	"kali/internal/machine"
 )
 
@@ -97,6 +98,7 @@ end.
 	defer debug.SetGCPercent(old)
 
 	var mallocs uint64
+	var news int64
 	var mu sync.Mutex
 	cfg := core.Config{P: el.procP, Params: machine.Ideal()}
 	core.Run(cfg, func(ctx *core.Context) {
@@ -115,6 +117,7 @@ end.
 		ctx.Node.Barrier()
 		if ctx.Node.ID() == 0 {
 			runtime.ReadMemStats(&before)
+			news = forall.PayloadPoolStats().News
 		}
 		ctx.Node.Barrier()
 		for k := 0; k < reps; k++ {
@@ -126,12 +129,13 @@ end.
 			runtime.ReadMemStats(&after)
 			mu.Lock()
 			mallocs = after.Mallocs - before.Mallocs
+			news = forall.PayloadPoolStats().News - news
 			mu.Unlock()
 		}
 		ctx.Node.Barrier()
 	})
 	if mallocs != 0 {
-		t.Fatalf("steady-state VM replay allocated %d objects over %d replays, want 0", mallocs, reps)
+		t.Fatalf("steady-state VM replay allocated %d objects over %d replays, want 0 (payload pool News +%d)", mallocs, reps, news)
 	}
 }
 

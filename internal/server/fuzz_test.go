@@ -1,6 +1,7 @@
 package server
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -63,39 +64,51 @@ func diffServer(t *testing.T, src, perturbSrc string, k int) {
 		if res == nil {
 			continue // already reported
 		}
-		if res.P != want.P {
-			t.Fatalf("tenant %d chose P=%d, solo chose %d", i, res.P, want.P)
-		}
-		for name, w := range want.Arrays {
-			g := res.Arrays[name]
-			for j := range w {
-				if g[j] != w[j] {
-					t.Fatalf("tenant %d: %s[%d] = %v, solo %v\n%s", i, name, j+1, g[j], w[j], src)
-				}
-			}
-		}
-		for name, w := range want.IntArrays {
-			g := res.IntArrays[name]
-			for j := range w {
-				if g[j] != w[j] {
-					t.Fatalf("tenant %d: %s[%d] = %d, solo %d\n%s", i, name, j+1, g[j], w[j], src)
-				}
-			}
-		}
-		for name, w := range want.Scalars {
-			if g := res.Scalars[name]; g != w {
-				t.Fatalf("tenant %d: %s = %v, solo %v\n%s", i, name, g, w, src)
-			}
-		}
-		r, w := res.Report, want.Report
-		if r.MsgsSent != w.MsgsSent || r.BytesSent != w.BytesSent ||
-			r.FusedMsgs != w.FusedMsgs || r.FusedBytes != w.FusedBytes ||
-			r.RedistMsgs != w.RedistMsgs || r.RedistBytes != w.RedistBytes {
-			t.Fatalf("tenant %d traffic diverges: got %d msgs/%d bytes (%d/%d fused, %d/%d redist), solo %d/%d (%d/%d, %d/%d)\n%s",
-				i, r.MsgsSent, r.BytesSent, r.FusedMsgs, r.FusedBytes, r.RedistMsgs, r.RedistBytes,
-				w.MsgsSent, w.BytesSent, w.FusedMsgs, w.FusedBytes, w.RedistMsgs, w.RedistBytes, src)
+		if d := resultDiff(res, want); d != "" {
+			t.Fatalf("tenant %d: %s\n%s", i, d, src)
 		}
 	}
+}
+
+// resultDiff describes the first way got differs from the solo oracle
+// want in what a program computes and sends — chosen P, arrays,
+// scalars, traffic — or returns "" when they agree.  Simulated times
+// are excluded: who wins a schedule build race decides who pays build
+// cost vs adoption cost, but never what the program computes or sends.
+func resultDiff(got, want *lang.Result) string {
+	if got.P != want.P {
+		return fmt.Sprintf("chose P=%d, solo chose %d", got.P, want.P)
+	}
+	for name, w := range want.Arrays {
+		g := got.Arrays[name]
+		for j := range w {
+			if g[j] != w[j] {
+				return fmt.Sprintf("%s[%d] = %v, solo %v", name, j+1, g[j], w[j])
+			}
+		}
+	}
+	for name, w := range want.IntArrays {
+		g := got.IntArrays[name]
+		for j := range w {
+			if g[j] != w[j] {
+				return fmt.Sprintf("%s[%d] = %d, solo %d", name, j+1, g[j], w[j])
+			}
+		}
+	}
+	for name, w := range want.Scalars {
+		if g := got.Scalars[name]; g != w {
+			return fmt.Sprintf("%s = %v, solo %v", name, g, w)
+		}
+	}
+	r, w := got.Report, want.Report
+	if r.MsgsSent != w.MsgsSent || r.BytesSent != w.BytesSent ||
+		r.FusedMsgs != w.FusedMsgs || r.FusedBytes != w.FusedBytes ||
+		r.RedistMsgs != w.RedistMsgs || r.RedistBytes != w.RedistBytes {
+		return fmt.Sprintf("traffic diverges: got %d msgs/%d bytes (%d/%d fused, %d/%d redist), solo %d/%d (%d/%d, %d/%d)",
+			r.MsgsSent, r.BytesSent, r.FusedMsgs, r.FusedBytes, r.RedistMsgs, r.RedistBytes,
+			w.MsgsSent, w.BytesSent, w.FusedMsgs, w.FusedBytes, w.RedistMsgs, w.RedistBytes)
+	}
+	return ""
 }
 
 // TestQuickServerDifferential is the fixed-budget CI version of the
