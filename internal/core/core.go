@@ -58,11 +58,10 @@ type Config struct {
 	// of the config (the language front end may elaborate to fewer
 	// processors than a pooled machine has).
 	Machine *machine.Machine
-	// Store, when non-nil, is a cross-tenant shared schedule store the
-	// run's engines consult before building (and publish into after):
-	// concurrently running programs adopt each other's compile-time
-	// schedules, and persisted blueprints make warm starts skip
-	// building entirely.
+	// Store, when non-nil, is the schedule store every engine of the
+	// run uses in place of its private one: concurrently running
+	// programs adopt each other's compile-time schedules by pointer,
+	// and persisted schedules make warm starts skip building entirely.
 	Store *forall.SharedStore
 }
 
@@ -124,8 +123,8 @@ func (c *Context) BlockIntArray(name string, n int) *darray.IntArray {
 	return darray.NewInt(name, dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, c.Grid), c.Node)
 }
 
-// Forall executes a rank-1 forall loop (Engine.Run: the cache →
-// compile-time → inspector pipeline).
+// Forall executes a rank-1 forall loop (Engine.Run: the per-name cache
+// → schedule store → compile-time or inspector build pipeline).
 func (c *Context) Forall(l *forall.Loop) { c.Eng.Run(l) }
 
 // Forall2 executes a two-dimensional forall loop (Engine.Run2).
@@ -185,19 +184,19 @@ type Report struct {
 	FusedMsgs  int
 	FusedBytes int
 
-	// SchedEvictions counts forall schedules dropped from the bounded
-	// content-addressed stores (summed over nodes); PlanEvictions
-	// counts redistribution plans dropped from the machine's bounded
-	// plan store.  Nonzero values mean the working set exceeded the
-	// cache bounds and some replays are paying rebuild cost.
+	// SchedEvictions counts forall schedules dropped from the engines'
+	// bounded private stores (summed over nodes); PlanEvictions counts
+	// redistribution plans dropped from the machine's bounded plan
+	// store.  Nonzero values mean the working set exceeded the cache
+	// bounds and some replays are paying rebuild cost.
 	SchedEvictions int
 	PlanEvictions  int
 
 	// Builds counts forall schedules constructed from scratch (summed
-	// over nodes); SharedHits counts replays served by each engine's
-	// local structural cache; StoreHits counts schedules adopted from a
-	// cross-tenant SharedStore (cfg.Store) instead of built — the
-	// multi-tenant sharing benefit, zero when no store is configured.
+	// over nodes); on a per-name cache miss, SharedHits counts
+	// schedules adopted from the engines' private stores instead, and
+	// StoreHits those adopted from cfg.Store — the multi-tenant sharing
+	// benefit.  Each is zero when the other's store is in use.
 	Builds     int
 	SharedHits int
 	StoreHits  int
@@ -232,8 +231,8 @@ func Run(cfg Config, prog func(ctx *Context)) Report {
 }
 
 // RunOn executes prog on an existing machine (reset first), allowing
-// reuse across experiments.  Engines run with default options (overlap
-// and fusion on, no shared store); use Run with a Config to ablate.
+// reuse across experiments.  Engines run with default options (overlap,
+// fusion, private schedule stores); use Run with a Config to ablate.
 func RunOn(m *machine.Machine, prog func(ctx *Context)) Report {
 	return runOn(m, false, false, nil, prog)
 }

@@ -36,9 +36,14 @@ func (e *Engine) buildCompileTime1(c *loopCore) *Schedule {
 	// Symbolic evaluation: a handful of closed-form evaluations.
 	e.node.Charge(machine.Cost{Calls: 2 + len(c.reads)})
 
-	s := &Schedule{kind: BuildCompileTime}
-	sets.ExecLocal.Each(func(i int) { s.execLocal = append(s.execLocal, iteration{i: i}) })
-	sets.ExecNonlocal.Each(func(i int) { s.execNonlocal = append(s.execNonlocal, iteration{i: i}) })
+	// Exact-size lists: a stored schedule keeps no append slack.
+	s := &Schedule{
+		kind:         BuildCompileTime,
+		execLocal:    make([]iteration, 0, sets.ExecLocal.Len()),
+		execNonlocal: make([]iteration, 0, sets.ExecNonlocal.Len()),
+	}
+	sets.ExecLocal.Each(func(i int) { s.execLocal = append(s.execLocal, iteration{I: i}) })
+	sets.ExecNonlocal.Each(func(i int) { s.execNonlocal = append(s.execNonlocal, iteration{I: i}) })
 	e.assembleArrays(c, s, sets.In, sets.Out)
 	return s
 }
@@ -65,16 +70,22 @@ func (e *Engine) buildCompileTime2(c *loopCore) *Schedule {
 		c.bounds[0], c.bounds[1], c.bounds[2], c.bounds[3], reads, me)
 	e.node.Charge(machine.Cost{Calls: 2 + len(c.reads)})
 
-	s := &Schedule{kind: BuildCompileTime}
-	// Enumerate the exec rectangle row-major; iterations outside the
-	// execLocal rectangle are nonlocal (some read leaves this node).
+	// Enumerate the exec rectangle row-major into exact-size lists;
+	// iterations outside the execLocal rectangle (a subrectangle) are
+	// nonlocal (some read leaves this node).
+	local := sets.LocalRows.Len() * sets.LocalCols.Len()
+	s := &Schedule{
+		kind:         BuildCompileTime,
+		execLocal:    make([]iteration, 0, local),
+		execNonlocal: make([]iteration, 0, sets.ExecRows.Len()*sets.ExecCols.Len()-local),
+	}
 	sets.ExecRows.Each(func(i int) {
 		rowLocal := sets.LocalRows.Contains(i)
 		sets.ExecCols.Each(func(j int) {
 			if rowLocal && sets.LocalCols.Contains(j) {
-				s.execLocal = append(s.execLocal, iteration{i: i, j: j})
+				s.execLocal = append(s.execLocal, iteration{I: i, J: j})
 			} else {
-				s.execNonlocal = append(s.execNonlocal, iteration{i: i, j: j})
+				s.execNonlocal = append(s.execNonlocal, iteration{I: i, J: j})
 			}
 		})
 	})
@@ -102,9 +113,7 @@ func (e *Engine) assembleArrays(c *loopCore, s *Schedule, in, out []map[int]inde
 				outByQ[q] = outByQ[q].Union(set)
 			}
 		}
-		as := &arraySched{in: inSetFromSets(me, inByQ), out: outSetFromSets(me, outByQ)}
-		as.buf = make([]float64, as.in.Total)
-		s.arrays = append(s.arrays, as)
+		s.arrays = append(s.arrays, &arraySched{in: inSetFromSets(me, inByQ), out: outSetFromSets(me, outByQ)})
 	}
 }
 
@@ -144,13 +153,6 @@ func sortedKeys(m map[int]index.Set) []int {
 	return out
 }
 
-// finalizePeers lays out the schedule's one-loop section plan for the
-// default combined layout once at build time, so the replay hot path
-// never walks range records, maps or an LRU for a single loop.
-func finalizePeers(s *Schedule) {
-	s.combined = buildPlan([]*Schedule{s}, false)
-}
-
 // routedRecs is the crystal-router payload: the in-records of array
 // slot k whose home is the destination node.
 type routedRecs struct {
@@ -166,7 +168,7 @@ func (e *Engine) inspectIters(c *loopCore) []iteration {
 		is := e.execSet(c)
 		out := make([]iteration, len(is))
 		for k, i := range is {
-			out[k] = iteration{i: i}
+			out[k] = iteration{I: i}
 		}
 		return out
 	}
@@ -183,7 +185,7 @@ func (e *Engine) inspectIters(c *loopCore) []iteration {
 	out := make([]iteration, 0, rows.Len()*cols.Len())
 	rows.Each(func(i int) {
 		cols.Each(func(j int) {
-			out = append(out, iteration{i: i, j: j})
+			out = append(out, iteration{I: i, J: j})
 		})
 	})
 	return out
@@ -241,9 +243,7 @@ func (e *Engine) buildInspector(c *loopCore) *Schedule {
 	var parcels []crystal.Parcel
 	for k, b := range builders {
 		in := b.Finalize()
-		as := &arraySched{in: in}
-		as.buf = make([]float64, in.Total)
-		s.arrays = append(s.arrays, as)
+		s.arrays = append(s.arrays, &arraySched{in: in})
 		for _, q := range in.Senders() {
 			rf := in.RangesFrom(q)
 			recs := make([]comm.Range, len(rf))

@@ -38,6 +38,7 @@ type Env struct {
 	sched *Schedule
 
 	arrays   []*darray.Array // distinct read arrays, schedule slot order
+	bufs     [][]float64     // per-slot receive buffers (executor modes)
 	builders []*comm.Builder // inspect mode only
 
 	iterNonlocal bool
@@ -132,7 +133,7 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 			if ref.Buf == -1 {
 				return a.GetLinear(g)
 			}
-			return e.sched.arrays[ref.Slot].buf[ref.Buf]
+			return e.bufs[ref.Slot][ref.Buf]
 		}
 		e.node.ChargeLocTest()
 		owner := a.OwnerLinear(g)
@@ -140,15 +141,16 @@ func (e *Env) Read(a *darray.Array, g int) float64 {
 			e.node.ChargeMemRefs(1)
 			return a.GetLinear(g)
 		}
-		as := e.sched.arrays[e.slotOf(a)]
-		e.node.ChargeSearch(as.in.NumRanges())
-		slot, ok := as.in.Find(owner, g)
+		k := e.slotOf(a)
+		in := e.sched.arrays[k].in
+		e.node.ChargeSearch(in.NumRanges())
+		slot, ok := in.Find(owner, g)
 		if !ok {
 			panic(fmt.Sprintf("forall %s: element %s[%d] not in communication schedule — body references changed since inspection (add the driving array to DependsOn)",
 				e.core.name, a.Name(), g))
 		}
 		e.node.ChargeMemRefs(1)
-		return as.buf[slot]
+		return e.bufs[k][slot]
 	}
 }
 
@@ -180,15 +182,16 @@ func (e *Env) Read2(a *darray.Array, i, j int) float64 {
 		}
 		// IsLocal2 validated the coordinates, so Linear2 is safe.
 		g := a.Linear2(i, j)
-		as := e.sched.arrays[e.slotOf(a)]
-		e.node.ChargeSearch(as.in.NumRanges())
-		slot, ok := as.in.Find(a.OwnerLinear(g), g)
+		k := e.slotOf(a)
+		in := e.sched.arrays[k].in
+		e.node.ChargeSearch(in.NumRanges())
+		slot, ok := in.Find(a.OwnerLinear(g), g)
 		if !ok {
 			panic(fmt.Sprintf("forall %s: element %s[%d] not in communication schedule — body references changed since inspection (add the driving array to DependsOn)",
 				e.core.name, a.Name(), g))
 		}
 		e.node.ChargeMemRefs(1)
-		return as.buf[slot]
+		return e.bufs[k][slot]
 
 	default: // modeInspect — cold path, charges handled by Read
 		return e.Read(a, a.Linear(i, j))

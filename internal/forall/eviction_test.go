@@ -10,10 +10,10 @@ import (
 	"kali/internal/topology"
 )
 
-// TestSharedStoreBounded: the content-addressed store must never hold
-// more than its capacity, must count evictions, and evicting a
-// schedule must never corrupt results — an evicted shape that comes
-// back simply rebuilds.
+// TestSharedStoreBounded: an engine's private schedule store must
+// never hold more than its capacity, must count evictions, and
+// evicting a schedule must never corrupt results — an evicted shape
+// that comes back simply rebuilds.
 func TestSharedStoreBounded(t *testing.T) {
 	const p = 2
 	shapes := sharedScheduleCap + 10 // force evictions
@@ -37,7 +37,7 @@ func TestSharedStoreBounded(t *testing.T) {
 			eng.Run(l)
 		}
 		if got := eng.SharedSchedules(); got > sharedScheduleCap {
-			t.Errorf("shared store holds %d schedules, cap is %d", got, sharedScheduleCap)
+			t.Errorf("private store holds %d schedules, cap is %d", got, sharedScheduleCap)
 		}
 		// Only n-2 distinct bounds exist, so evictions occur only if
 		// that exceeds capacity; re-running all shapes in cycle does
@@ -58,8 +58,10 @@ func TestSharedStoreBounded(t *testing.T) {
 	})
 }
 
-// TestSharedStoreEvictionCounted: overflowing a store whose distinct
-// shape count exceeds the capacity must report evictions.
+// TestSharedStoreEvictionCounted: overflowing a private store with
+// more distinct shapes than its capacity must report evictions, and —
+// the store being one exact LRU, not capacity split across shards —
+// leave exactly capacity schedules resident.
 func TestSharedStoreEvictionCounted(t *testing.T) {
 	const p = 1
 	n := sharedScheduleCap + 20 // enough distinct bounds
@@ -90,11 +92,11 @@ func TestSharedStoreEvictionCounted(t *testing.T) {
 // its plan from its schedules.  Distinct loop bounds give distinct
 // schedules, so each window is a distinct plan key; the window's two
 // identically-shaped loops also share one schedule, so every plan
-// drains two section streams out of one set of receive buffers — the
-// sharing case the stash-until-drain logic exists for.
+// drains two section streams of one schedule — into the two window
+// positions' distinct receive buffers.
 func TestFusedPlanStoreBounded(t *testing.T) {
 	const p = 2
-	windows := fusedPlanCap + 8 // force plan evictions
+	windows := planCap + 8 // force plan evictions
 	n := windows + 4
 	g := topology.MustGrid(p)
 	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
@@ -123,12 +125,12 @@ func TestFusedPlanStoreBounded(t *testing.T) {
 				runWindowHi(hi)
 			}
 		}
-		if got := eng.FusedPlans(); got > fusedPlanCap {
-			t.Errorf("fused plan store holds %d plans, cap is %d", got, fusedPlanCap)
+		if got := eng.FusedPlans(); got > planCap {
+			t.Errorf("fused plan store holds %d plans, cap is %d", got, planCap)
 		}
 		if eng.FusedPlanEvictions() == 0 {
 			t.Errorf("expected plan evictions after %d distinct windows with cap %d",
-				windows, fusedPlanCap)
+				windows, planCap)
 		}
 		if eng.FusedWindows() == 0 {
 			t.Error("no window actually fused")

@@ -6,6 +6,7 @@ import (
 
 	"kali/internal/comm"
 	"kali/internal/darray"
+	"kali/internal/dist"
 	"kali/internal/machine"
 )
 
@@ -15,8 +16,9 @@ import (
 //
 //  1. post one envelope of sections per peer (post);
 //  2. run each loop's interior iterations (execLocal);
-//  3. drain the loop's own sections, stashing sections of later window
-//     loops that arrive early (drain, unpack);
+//  3. drain the loop's own sections, unpacking any section of a later
+//     window loop that arrives first into that loop's buffers (drain,
+//     unpack);
 //  4. run the boundary iterations (execNonlocal);
 //  5. commit the buffered writes (copy-in/copy-out semantics).
 //
@@ -62,28 +64,34 @@ type section struct {
 }
 
 // sectionPlan is the precomputed send/drain layout of one window,
-// flattened so warm replay walks slices and allocates nothing.  A
-// one-loop plan lives on its Schedule; a fused plan lives in the
-// engine's bounded LRU, keyed (and verified) by the component
-// schedules, so a rebuilt or redistributed schedule can never replay a
-// stale plan.
+// flattened so warm replay walks slices and allocates nothing.  It is
+// immutable once built: a one-loop plan for the default layout lives
+// on its Schedule (and is shared wherever the schedule is); every
+// other plan — fused windows, and the NoCombine layout — lives in the
+// engine's bounded plan store, keyed by (and verified against) the
+// component schedules, so a rebuilt or redistributed schedule can
+// never replay a stale plan.
 type sectionPlan struct {
 	scheds []*Schedule
 	sends  []section
 
 	// Receive side: recvs[i] is what request reqs[i] delivers; loop k's
-	// sections occupy [recvStart[k], recvStart[k+1]).  done and pending
-	// are per-execution state: pending stashes sections that complete
-	// before their loop drains (wall-clock backends).
+	// sections occupy [recvStart[k], recvStart[k+1]).
 	recvs     []section
 	reqs      []machine.Request
 	recvStart []int
-	done      []bool
-	pending   []machine.Message
 }
 
+// planCap bounds the per-engine plan store.  Plans are pure functions
+// of their component schedules, so eviction is only a rebuild cost;
+// the counter makes thrashing visible.
+const planCap = 32
+
 // matches verifies a cached plan against the window's schedules
-// pointer-wise, guarding against sid-hash collisions.
+// pointer-wise, guarding against sid-hash collisions.  The layout
+// needs no check: NoCombine windows hold one loop, and one-loop
+// default-layout windows never consult the store, so a stored plan's
+// loop count determines its layout.
 func (p *sectionPlan) matches(scheds []*Schedule) bool {
 	if len(p.scheds) != len(scheds) {
 		return false
@@ -118,8 +126,6 @@ func buildPlan(scheds []*Schedule, perArray bool) *sectionPlan {
 	for i, r := range p.recvs {
 		p.reqs[i] = machine.Request{From: r.q, Tag: r.tag, Cont: r.cont}
 	}
-	p.done = make([]bool, len(p.recvs))
-	p.pending = make([]machine.Message, len(p.recvs))
 	return p
 }
 
@@ -165,39 +171,49 @@ func loopSections(dst []section, s *Schedule, k int, tag machine.Tag, perArray, 
 	return dst
 }
 
-// planFor returns the window's plan.  A one-loop window uses its
-// schedule's plan for the current layout; the per-array one is laid
-// out on first NoCombine use, so only that ablation pays for it.  A
-// fused window's plan comes from the engine's bounded store, built on
-// miss (or on a hash collision, which the pointer check downgrades to
-// a miss).
+// planFor returns the window's plan: a one-loop window in the default
+// layout uses its schedule's own plan; any other window's plan comes
+// from the engine's bounded store, built on miss (or on a hash
+// collision, which the pointer check downgrades to a miss), so only
+// fusion and the NoCombine ablation pay for laying one out.
 func (e *Engine) planFor(scheds []*Schedule) *sectionPlan {
-	if s := scheds[0]; len(scheds) == 1 {
-		if !e.NoCombine {
-			return s.combined
-		}
-		if s.perArray == nil {
-			s.perArray = buildPlan(scheds, true)
-		}
-		return s.perArray
+	if len(scheds) == 1 && !e.NoCombine {
+		return scheds[0].combined
 	}
-	key := fusedKeyOf(scheds)
-	if p, ok := e.fusedPlans.Get(key); ok && p.matches(scheds) {
+	key := planKeyOf(scheds)
+	if p, ok := e.plans.Get(key); ok && p.matches(scheds) {
 		return p
 	}
-	p := buildPlan(scheds, false)
-	e.fusedPlans.Put(key, p)
+	p := buildPlan(scheds, e.NoCombine)
+	e.plans.Put(key, p)
 	return p
 }
 
+// planKeyOf fingerprints the window's schedule tuple by the schedules'
+// process-wide ids.
+func planKeyOf(scheds []*Schedule) uint64 {
+	h := dist.FingerprintSeed
+	h = mixInt(h, len(scheds))
+	for _, s := range scheds {
+		h = dist.MixFingerprint(h, s.sid)
+	}
+	return h
+}
+
 // window is the executor's scratch: the lowered loops, the current
-// window's schedules, each window loop's read arrays bound to its
-// schedule slots, the write set used to find window boundaries, and
-// the Env — all with recycled backing so warm replay allocates nothing.
+// window's schedules, and per window position the loop's read arrays
+// bound to its schedule slots and a receive buffer per slot; the
+// drain flags of the current plan's receive requests; the write set
+// used to find window boundaries; and the Env — all with recycled
+// backing so warm replay allocates nothing.  Buffers are held per
+// position, not per schedule, so two window loops sharing one
+// schedule still receive into distinct buffers.
 type window struct {
 	cores  []loopCore
 	scheds []*Schedule
 	slots  [][]*darray.Array
+	bufs   [][][]float64
+	done   []bool
 	writes []*darray.Array
 	env    Env
 }
@@ -225,14 +241,35 @@ func (e *Engine) release(w *window) {
 	}
 }
 
+// bind prepares the window's per-position state for loops cores with
+// schedules scheds and plan p: each loop's read arrays in slot order
+// (the same first-appearance order assembleArrays built the slots in,
+// so a shared schedule executes correctly against whichever loop
+// adopted it), a receive buffer per slot sized to its in set, and
+// cleared drain flags.  Backing only ever grows, so a warm window
+// allocates nothing.
+func (w *window) bind(cores []loopCore, scheds []*Schedule, p *sectionPlan) {
+	n := len(cores)
+	w.slots = slices.Grow(w.slots[:0], n)[:n]
+	w.bufs = slices.Grow(w.bufs[:0], n)[:n]
+	for k := range cores {
+		w.slots[k] = appendDistinct(w.slots[k][:0], cores[k].reads)
+		arrays := scheds[k].arrays
+		bufs := slices.Grow(w.bufs[k][:0], len(arrays))[:len(arrays)]
+		for sl, as := range arrays {
+			bufs[sl] = slices.Grow(bufs[sl][:0], as.in.Total)[:as.in.Total]
+		}
+		w.bufs[k] = bufs
+	}
+	w.done = slices.Grow(w.done[:0], len(p.recvs))[:len(p.recvs)]
+	clear(w.done)
+}
+
 // runWindow executes one window of loops: acquire every loop's
 // schedule, post all sections, then run the loops in program order,
-// each draining only its own sections before its boundary pass.  The
-// schedules are structural; each loop's own arrays are bound to its
-// slots here, in the same first-appearance order assembleArrays used,
-// so a shared schedule executes correctly against whichever loop
-// adopted it.  Warm replay allocates nothing: the Env, write log, plan,
-// receive buffers and message payloads are all reused.
+// each draining its own sections before its boundary pass.  Warm
+// replay allocates nothing: the Env, write log, plan, receive buffers
+// and message payloads are all reused.
 func (e *Engine) runWindow(w *window, cores []loopCore) {
 	scheds := w.scheds[:0]
 	for k := range cores {
@@ -240,16 +277,7 @@ func (e *Engine) runWindow(w *window, cores []loopCore) {
 	}
 	w.scheds = scheds
 	p := e.planFor(scheds)
-	for len(w.slots) < len(cores) {
-		w.slots = append(w.slots, nil)
-	}
-	for k := range cores {
-		w.slots[k] = appendDistinct(w.slots[k][:0], cores[k].reads)
-	}
-	for i := range p.done {
-		p.done[i] = false
-		p.pending[i] = machine.Message{}
-	}
+	w.bind(cores, scheds, p)
 
 	// A one-loop window posts inside its loop's phase interval.  A fused
 	// window posts under its first loop's phase, then times each loop
@@ -270,12 +298,12 @@ func (e *Engine) runWindow(w *window, cores []loopCore) {
 			e.node.StartPhase(ph)
 		}
 		env.reset(e, c, s, modeExecLocal)
-		env.arrays = w.slots[k]
+		env.arrays, env.bufs = w.slots[k], w.bufs[k]
 		for _, it := range s.execLocal {
 			e.node.Charge(machine.Cost{LoopIters: 1})
 			c.run(it, env)
 		}
-		e.drain(p, c, k)
+		e.drain(w, cores, p, k)
 		env.mode = modeExecNonlocal
 		for kk, it := range s.execNonlocal {
 			e.node.Charge(machine.Cost{LoopIters: 1})
@@ -327,46 +355,42 @@ func (e *Engine) post(p *sectionPlan, slots [][]*darray.Array) {
 
 // drain completes window loop k's sections before its boundary pass.
 // Completion order is the transport's (slice order on the simulator,
-// physical arrival order on wall-clock backends).  A section that
-// outruns its loop is stashed and unpacked only when its loop drains,
-// because window loops may share one Schedule — and therefore one set
-// of receive buffers — which an early unpack would overwrite before
-// the earlier loop's boundary pass reads it.
-func (e *Engine) drain(p *sectionPlan, c *loopCore, k int) {
-	lo, hi := p.recvStart[k], p.recvStart[k+1]
+// physical arrival order on wall-clock backends), so a section of a
+// later window loop may complete first; it is unpacked at once into
+// that loop's own buffers, which no earlier loop reads.
+func (e *Engine) drain(w *window, cores []loopCore, p *sectionPlan, k int) {
+	hi := p.recvStart[k+1]
 	left := 0
-	for i := lo; i < hi; i++ {
-		if !p.done[i] {
+	for i := p.recvStart[k]; i < hi; i++ {
+		if !w.done[i] {
 			left++
-			continue
 		}
-		e.unpack(c, p, i, p.pending[i])
-		p.pending[i] = machine.Message{}
 	}
 	for left > 0 {
-		i, msg := e.node.WaitAny(p.reqs, p.done)
-		p.done[i] = true
-		if i >= hi {
-			p.pending[i] = msg
-			continue
+		i, msg := e.node.WaitAny(p.reqs, w.done)
+		w.done[i] = true
+		e.unpack(w, cores, p, i, msg)
+		if i < hi {
+			left--
 		}
-		e.unpack(c, p, i, msg)
-		left--
 	}
 }
 
-// unpack scatters received section i into its slots' receive buffers,
-// one bulk copy per in-set range, and returns the payload to the pool.
-func (e *Engine) unpack(c *loopCore, p *sectionPlan, i int, msg machine.Message) {
+// unpack scatters received section i into its window loop's receive
+// buffers, one bulk copy per in-set range, and returns the payload to
+// the pool.
+func (e *Engine) unpack(w *window, cores []loopCore, p *sectionPlan, i int, msg machine.Message) {
 	r := &p.recvs[i]
 	pb := msg.Payload.(*comm.Payload)
 	if len(pb.Vals) != r.n {
 		panic(fmt.Sprintf("forall %s: section from %d has %d values, schedule expects %d",
-			c.name, r.q, len(pb.Vals), r.n))
+			cores[r.loop].name, r.q, len(pb.Vals), r.n))
 	}
+	bufs := w.bufs[r.loop]
 	off := 0
-	for _, as := range p.scheds[r.loop].arrays[r.lo:r.hi] {
-		off += as.in.Unpack(r.q, pb.Vals[off:off+as.in.CountFrom(r.q)], as.buf)
+	for sl := r.lo; sl < r.hi; sl++ {
+		in := p.scheds[r.loop].arrays[sl].in
+		off += in.Unpack(r.q, pb.Vals[off:off+in.CountFrom(r.q)], bufs[sl])
 	}
 	payloadPool.Put(pb)
 }

@@ -12,14 +12,17 @@
 //  2. Obtain a communication Schedule: from the per-name cache if the
 //     loop has run before and its pattern-driving arrays are unchanged
 //     (paper §3.2, "saving them for later loop executions"); else from
-//     the content-addressed store if another loop of identical
-//     structure — distribution, bounds, read affines, on clause —
-//     already built one (§3.2's reuse argument applied across loops);
-//     else by compile-time analysis when every subscript is affine
-//     (paper §3.1/[3] — per dimension for rank-2 loops); else by the
+//     the schedule store if a loop of identical structure —
+//     distribution, bounds, read affines, on clause — already built
+//     one (§3.2's reuse argument applied across loops, and across
+//     programs when the store is shared); else by building it:
+//     compile-time analysis when every subscript is affine (paper
+//     §3.1/[3] — per dimension for rank-2 loops), otherwise the
 //     run-time inspector — a recording pass over the body followed by
 //     a Crystal-router exchange that turns each node's in sets into
-//     the senders' out sets (paper §3.3, Fig. 6).
+//     the senders' out sets (paper §3.3, Fig. 6).  A built schedule is
+//     immutable, so the store and every cache entry hold it by
+//     pointer.
 //  3. Run the executor: send all messages, run the local iterations,
 //     receive all messages, run the nonlocal iterations (Fig. 3),
 //     then commit buffered writes (copy-in/copy-out semantics).
@@ -34,6 +37,7 @@ package forall
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"kali/internal/analysis"
 	"kali/internal/comm"
@@ -147,9 +151,10 @@ type Loop2 struct {
 	Enumerate bool
 }
 
-// iteration is one loop iteration of either rank; j is unused (zero)
-// for rank-1 loops.
-type iteration struct{ i, j int }
+// iteration is one loop iteration of either rank; J is unused (zero)
+// for rank-1 loops.  The fields are exported only so schedule
+// persistence can encode iteration lists as they are.
+type iteration struct{ I, J int }
 
 // loopCore is the rank-independent lowering of a Loop or Loop2: the
 // single representation the schedule pipeline operates on.  Lowering
@@ -175,9 +180,9 @@ type loopCore struct {
 // run invokes the user body for one iteration.
 func (c *loopCore) run(it iteration, e *Env) {
 	if c.rank == 1 {
-		c.l1.Body(it.i, e)
+		c.l1.Body(it.I, e)
 	} else {
-		c.l2.Body(it.i, it.j, e)
+		c.l2.Body(it.I, it.J, e)
 	}
 }
 
@@ -246,7 +251,7 @@ type BuildKind int
 // Schedule provenance values.  BuildShared means the loop did not
 // build anything: an existing schedule with the same structural key
 // (distributions, bounds, read affines, on clause) was adopted from
-// the engine's content-addressed store.
+// the engine's schedule store.
 const (
 	BuildCached BuildKind = iota
 	BuildCompileTime
@@ -273,12 +278,11 @@ func (k BuildKind) String() string {
 // is purely structural — which loop array occupies the slot is bound
 // at execution time from the loop's reads, which is what lets whole
 // schedules be shared between identically-shaped loops over different
-// arrays.  buf is the slot's receive buffer, allocated once at build
-// time and reused by every replay.
+// arrays.  The slot's receive buffer belongs to the executing window
+// (exec.go), not to the schedule.
 type arraySched struct {
 	in  *comm.InSet
 	out *comm.OutSet
-	buf []float64
 }
 
 // enumRef is one resolved reference of a Saltz-style enumerated
@@ -292,32 +296,35 @@ type enumRef struct {
 
 // Schedule is the result of inspecting/analyzing one loop shape on one
 // node, for loops of any rank.  It is purely structural: iteration
-// lists, per-slot communication sets and buffers, but no binding to
-// the arrays of any particular loop.  One Schedule may therefore be
-// held by several cache entries at once (content-addressed sharing)
-// and replayed against different arrays.
+// lists and per-slot communication sets, but no binding to the arrays
+// of any particular loop and no replay state.  Only the builder writes
+// it, before the schedule is published (seal); afterwards it is
+// immutable, so one Schedule may be held by several cache entries, by
+// the schedule store and by concurrently running engines at once, and
+// replayed against different arrays.
 type Schedule struct {
 	rank         int
 	execLocal    []iteration
 	execNonlocal []iteration
 	arrays       []*arraySched
 	kind         BuildKind
-	// combined and perArray are the schedule's one-loop section plans
-	// (exec.go) for the default and the NoCombine envelope layouts:
-	// finalizePeers builds the first, the executor the second on first
-	// NoCombine use.
+	// combined is the schedule's one-loop section plan (exec.go) for
+	// the default envelope layout; other layouts live in the engine's
+	// plan store.
 	combined *sectionPlan
-	perArray *sectionPlan
 	// enum[k] lists every resolved reference of nonlocal iteration
 	// execNonlocal[k], in body order — row-major for rank-2 loops
 	// (Loop.Enumerate / Loop2.Enumerate only).
 	enum [][]enumRef
-	// sid is the engine-assigned schedule identity, minted once per
-	// built schedule; fusion plans key on the window's sid tuple, so a
-	// rebuilt (or freshly adopted) schedule can never alias a stale
-	// plan.
+	// sid is the schedule's process-wide identity, minted once at
+	// build; window plans key on the window's sid tuple, so a rebuilt
+	// schedule can never alias a stale plan.
 	sid uint64
 }
+
+// sidMint issues schedule ids; it is process-wide because schedules
+// travel between engines through shared stores.
+var sidMint atomic.Uint64
 
 // Rank returns the loop rank the schedule was built for.
 func (s *Schedule) Rank() int { return s.rank }
@@ -344,9 +351,11 @@ func (s *Schedule) RecvCount() int {
 }
 
 // MemBytes estimates the schedule's storage: iteration lists (one word
-// per index per rank), range records (Figure 5: ~20 bytes each),
-// buffers, and — for enumerated schedules — the per-reference list the
-// paper's §5 identifies as the storage cost of Saltz's approach.
+// per index per rank), range records (Figure 5: ~20 bytes each), one
+// receive buffer per slot (8 bytes per received element — the buffer
+// lives in the executing window, but every replay needs one), and —
+// for enumerated schedules — the per-reference list the paper's §5
+// identifies as the storage cost of Saltz's approach.
 func (s *Schedule) MemBytes() int {
 	words := s.rank
 	if words < 1 {
@@ -355,7 +364,7 @@ func (s *Schedule) MemBytes() int {
 	n := 8 * words * (len(s.execLocal) + len(s.execNonlocal))
 	for _, as := range s.arrays {
 		n += recBytes * (len(as.in.Ranges) + len(as.out.Ranges))
-		n += 8 * len(as.buf)
+		n += 8 * as.in.Total
 	}
 	for _, refs := range s.enum {
 		n += 12 * len(refs)
@@ -422,22 +431,25 @@ func onDistOf(c *loopCore) uint64 {
 	return c.on.Dist().Fingerprint()
 }
 
-// sharedScheduleCap bounds the per-node content-addressed schedule
-// store.  Distinct share keys accumulate over a machine's lifetime
-// (every redistribution changes distribution fingerprints, minting
-// new keys), so the store is a bounded LRU rather than a map: the
-// working set of the current solver phase stays, dead schedules go,
-// and evictions are counted so thrashing is visible in reports.
+// sharedScheduleCap bounds an engine's private schedule store (the
+// one it uses when Store is nil).  Distinct share keys accumulate over
+// a machine's lifetime (every redistribution changes distribution
+// fingerprints, minting new keys), so the store is a bounded LRU
+// rather than a map: the working set of the current solver phase
+// stays, dead schedules go, and evictions are counted so thrashing is
+// visible in reports.
 const sharedScheduleCap = 64
 
 // Engine executes forall loops on one node and caches their schedules.
 type Engine struct {
-	node   *machine.Node
-	cache  map[schedKey]*cacheEntry
-	shared *lru.Cache[shareKey, *Schedule]
+	node  *machine.Node
+	cache map[schedKey]*cacheEntry
+	// private is the schedule store used when Store is nil, made on
+	// first use and dropped by InvalidateAll.
+	private *SharedStore
 	// NoCache disables schedule reuse — both the per-name cache and the
-	// content-addressed store (benchmark ABL1 measures the cost of
-	// re-inspecting on every execution).
+	// schedule store (benchmark ABL1 measures the cost of re-inspecting
+	// on every execution).
 	NoCache bool
 	// ForceInspector disables the compile-time path (ABL3).
 	ForceInspector bool
@@ -468,13 +480,14 @@ type Engine struct {
 	// sends its own messages exactly as Run/Run2 would — the oracle for
 	// cross-loop aggregation (kalirun -fuse=off).
 	NoFuse bool
-	// Store, when non-nil, is the cross-tenant content-addressed store
-	// (store.go): before building a shareable schedule the engine
-	// consults it (adopting blueprints other programs built, possibly
-	// revived from disk), and after building it publishes the blueprint
-	// there.  Build requests for the same shape are coalesced
-	// machine-wide (singleflight), which is deadlock-free because only
-	// communication-free compile-time builds participate.
+	// Store, when non-nil, is a cross-tenant schedule store (store.go)
+	// used in place of the engine's private one: before building a
+	// shareable schedule the engine looks it up there (adopting, by
+	// pointer, schedules other programs built or revived from disk),
+	// and a build is published there.  Build requests for the same
+	// shape are coalesced machine-wide (singleflight), which is
+	// deadlock-free because only communication-free compile-time
+	// builds participate.
 	Store *SharedStore
 
 	lastKind   BuildKind
@@ -482,11 +495,11 @@ type Engine struct {
 	sharedHits int
 	storeHits  int
 
-	// Fusion state: the bounded fused-plan store (fuse.go), the
-	// schedule-id mint backing its keys, and the window counter tests
-	// and benches use to assert fusion actually engaged.
-	fusedPlans   *lru.Cache[uint64, *sectionPlan]
-	sidCounter   uint64
+	// Window plans other than a schedule's own combined one — fused
+	// windows and the NoCombine layout — in a bounded store keyed by
+	// the window's schedule ids (exec.go), and the window counter
+	// tests and benches use to assert fusion actually engaged.
+	plans        *lru.Cache[uint64, *sectionPlan]
 	fusedWindows int
 
 	// Executor scratch (exec.go), reused across executions so a cached
@@ -499,10 +512,9 @@ type Engine struct {
 // NewEngine creates the per-node forall engine.
 func NewEngine(n *machine.Node) *Engine {
 	return &Engine{
-		node:       n,
-		cache:      map[schedKey]*cacheEntry{},
-		shared:     lru.New[shareKey, *Schedule](sharedScheduleCap),
-		fusedPlans: lru.New[uint64, *sectionPlan](fusedPlanCap),
+		node:  n,
+		cache: map[schedKey]*cacheEntry{},
+		plans: lru.New[uint64, *sectionPlan](planCap),
 	}
 }
 
@@ -514,36 +526,44 @@ func (e *Engine) Node() *machine.Node { return e.node }
 func (e *Engine) LastBuildKind() BuildKind { return e.lastKind }
 
 // Builds returns how many schedules the engine has actually built
-// (compile-time or inspector); cache and shared hits do not count.
+// (compile-time or inspector); cache and store hits do not count.
 func (e *Engine) Builds() int { return e.builds }
 
 // SharedHits returns how many times a loop adopted an existing
-// schedule from the content-addressed store instead of building one.
+// schedule from the engine's private store instead of building one.
 func (e *Engine) SharedHits() int { return e.sharedHits }
 
-// StoreHits returns how many times a loop adopted a blueprint from the
-// cross-tenant SharedStore (built by another program, or revived from
-// the persistence directory) instead of building a schedule itself.
+// StoreHits returns how many times a loop adopted a schedule from the
+// configured Store (built by another loop or program, or revived from
+// the persistence directory) instead of building one.
 func (e *Engine) StoreHits() int { return e.storeHits }
 
-// SharedSchedules returns the number of distinct schedules in the
-// content-addressed store.
-func (e *Engine) SharedSchedules() int { return e.shared.Len() }
+// SharedSchedules returns the number of schedules in the engine's
+// private store (0 when Store is configured).
+func (e *Engine) SharedSchedules() int { return e.privateStats().Entries }
 
-// SharedEvictions returns how many schedules the bounded
-// content-addressed store has evicted for capacity.
-func (e *Engine) SharedEvictions() int { return e.shared.Evictions() }
+// SharedEvictions returns how many schedules the engine's bounded
+// private store has evicted for capacity.
+func (e *Engine) SharedEvictions() int { return e.privateStats().Evictions }
+
+func (e *Engine) privateStats() StoreStats {
+	if e.private == nil {
+		return StoreStats{}
+	}
+	return e.private.Stats()
+}
 
 // FusedWindows returns how many fusion windows (≥ 2 loops) the engine
 // has executed through RunSequence.
 func (e *Engine) FusedWindows() int { return e.fusedWindows }
 
-// FusedPlans returns the number of fused plans currently cached.
-func (e *Engine) FusedPlans() int { return e.fusedPlans.Len() }
+// FusedPlans returns the number of window plans currently cached
+// (fused windows and NoCombine layouts).
+func (e *Engine) FusedPlans() int { return e.plans.Len() }
 
-// FusedPlanEvictions returns how many fused plans the bounded store
-// has evicted for capacity.
-func (e *Engine) FusedPlanEvictions() int { return e.fusedPlans.Evictions() }
+// FusedPlanEvictions returns how many window plans the bounded plan
+// store has evicted for capacity.
+func (e *Engine) FusedPlanEvictions() int { return e.plans.Evictions() }
 
 // Schedule returns the cached schedule of a rank-1 loop, or nil if the
 // loop has not run (or caching is disabled).
@@ -563,20 +583,22 @@ func (e *Engine) Schedule2(name string) *Schedule {
 }
 
 // Invalidate drops the cached schedules (of either rank) of one loop
-// name.  Entries in the content-addressed store are untouched: they
-// are pure functions of loop structure, so other loops sharing them
-// can never be left holding a stale schedule.
+// name.  Entries in the schedule store are untouched: they are pure
+// functions of loop structure, so other loops sharing them can never
+// be left holding a stale schedule.
 func (e *Engine) Invalidate(name string) {
 	delete(e.cache, schedKey{1, name})
 	delete(e.cache, schedKey{2, name})
 }
 
-// InvalidateAll drops all cached schedules, including the shared
-// store: the engine forgets everything and rebuilds from scratch.
+// InvalidateAll drops all cached schedules and window plans, and the
+// private store with them, so the engine rebuilds from scratch.  A
+// configured Store belongs to every engine sharing it and is left
+// intact: the next run adopts from it.
 func (e *Engine) InvalidateAll() {
 	e.cache = map[schedKey]*cacheEntry{}
-	e.shared.Reset()
-	e.fusedPlans.Reset()
+	e.private = nil
+	e.plans.Reset()
 }
 
 // Run executes one rank-1 forall: schedule acquisition is timed under
@@ -663,8 +685,8 @@ func (e *Engine) validate2(l *Loop2) {
 }
 
 // schedule returns a valid Schedule: from the per-name cache when the
-// loop reruns unchanged, from the content-addressed store when another
-// loop of identical structure already built one, else by building.
+// loop reruns unchanged, else from the schedule store when a loop of
+// identical structure already built one, else by building.
 func (e *Engine) schedule(c *loopCore) *Schedule {
 	key := schedKey{c.rank, c.name}
 	if !e.NoCache {
@@ -677,65 +699,45 @@ func (e *Engine) schedule(c *loopCore) *Schedule {
 	// they are pure functions of (distribution, bounds, read affines,
 	// on clause), whereas inspector schedules depend on what the body
 	// actually referenced (indirect subscripts, OnProc, enumeration).
-	shareable := c.analyzable() && !e.ForceInspector && !e.NoCache
-	var sk shareKey
-	if shareable {
-		sk = shareKeyOf(c)
-		if s, ok := e.shared.Get(sk); ok {
-			e.sharedHits++
-			e.lastKind = BuildShared
-			e.store(key, c, s)
-			return s
-		}
-	}
 	var s *Schedule
-	adopted := false
-	if shareable && e.Store != nil {
-		// Cross-tenant store: adopt a blueprint some program already
-		// built (or a warm start revived from disk), else build exactly
-		// once machine-wide — concurrent tenants asking for the same
-		// shape block on the first build instead of duplicating it.
-		bp, hit := e.Store.getOrBuild(e.node.ID(), sk, func() *Blueprint {
-			s = e.build(c)
-			return blueprintOf(s)
-		})
+	hit := false
+	if c.analyzable() && !e.ForceInspector && !e.NoCache {
+		st, hits := e.schedStore()
+		s, hit = st.getOrBuild(e.node.ID(), shareKeyOf(c), func() *Schedule { return e.build(c) })
 		if hit {
-			e.node.StartPhase(PhaseInspector)
-			s = e.instantiate(bp)
-			// Instantiation is a copy pass, not set algebra: one call's
-			// worth, like a redistribution plan hit.
-			e.node.Charge(machine.Cost{Calls: 1})
-			e.node.StopPhase(PhaseInspector)
-			adopted = true
+			*hits++
 		}
 	} else {
 		s = e.build(c)
 	}
-	if adopted {
-		e.storeHits++
+	if hit {
+		e.lastKind = BuildShared
 	} else {
-		finalizePeers(s)
 		e.builds++
-	}
-	e.sidCounter++
-	s.sid = e.sidCounter
-	if shareable {
-		e.shared.Put(sk, s)
+		e.lastKind = s.kind
 	}
 	if !e.NoCache {
 		e.store(key, c, s)
 	}
-	if adopted {
-		e.lastKind = BuildShared
-	} else {
-		e.lastKind = s.kind
-	}
 	return s
+}
+
+// schedStore returns the store shareable schedules are adopted from
+// and published to — Store when configured, else the engine's private
+// store, made on first use — and the counter its adoptions count in.
+func (e *Engine) schedStore() (*SharedStore, *int) {
+	if e.Store != nil {
+		return e.Store, &e.storeHits
+	}
+	if e.private == nil {
+		e.private = NewSharedStore(sharedScheduleCap, "")
+	}
+	return e.private, &e.sharedHits
 }
 
 // build constructs a schedule for c — compile-time when the loop is
 // analyzable (and not forced), else by the run-time inspector — timed
-// under the inspector phase.
+// under the inspector phase, and seals it.
 func (e *Engine) build(c *loopCore) *Schedule {
 	e.node.StartPhase(PhaseInspector)
 	var s *Schedule
@@ -746,6 +748,15 @@ func (e *Engine) build(c *loopCore) *Schedule {
 	}
 	e.node.StopPhase(PhaseInspector)
 	s.rank = c.rank
+	return seal(s)
+}
+
+// seal completes a built (or revived) schedule before it is published:
+// its one-loop combined plan and its process-wide id.  Nothing writes
+// the schedule afterwards.
+func seal(s *Schedule) *Schedule {
+	s.combined = buildPlan([]*Schedule{s}, false)
+	s.sid = sidMint.Add(1)
 	return s
 }
 
@@ -804,8 +815,8 @@ func depsFresh(c *loopCore, ent *cacheEntry) bool {
 
 // appendDistinct appends each read's array to dst on first appearance.
 // This single helper defines the slot order of a schedule: the build
-// path (assembleArrays), the execute-time binding (bindArrays) and the
-// share key (shareKeyOf) all derive slots from it, so they can never
+// path (assembleArrays), the execute-time binding (window.bind) and
+// the share key (shareKeyOf) all derive slots from it, so they can never
 // disagree on which array occupies which slot.
 func appendDistinct(dst []*darray.Array, reads []ReadSpec) []*darray.Array {
 	for _, r := range reads {

@@ -2,7 +2,6 @@ package forall
 
 import (
 	"kali/internal/darray"
-	"kali/internal/dist"
 	"kali/internal/machine"
 )
 
@@ -47,22 +46,6 @@ type SeqLoop struct {
 	L      *Loop
 	L2     *Loop2
 	Writes []*darray.Array
-}
-
-// fusedPlanCap bounds the per-engine fused-plan store.  Plans are pure
-// functions of their component schedules, so eviction is only a
-// rebuild cost; the counter makes thrashing visible.
-const fusedPlanCap = 32
-
-// fusedKeyOf fingerprints the window's schedule tuple by the engine-
-// assigned schedule ids.
-func fusedKeyOf(scheds []*Schedule) uint64 {
-	h := dist.FingerprintSeed
-	h = mixInt(h, len(scheds))
-	for _, s := range scheds {
-		h = dist.MixFingerprint(h, s.sid)
-	}
-	return h
 }
 
 // RunSequence executes consecutive forall loops, aggregating messages

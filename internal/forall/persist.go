@@ -7,6 +7,8 @@ import (
 	"hash/fnv"
 	"os"
 	"path/filepath"
+
+	"kali/internal/comm"
 )
 
 // Schedule persistence: compiled schedules serialized to a cache
@@ -20,11 +22,25 @@ import (
 // Every validation failure is treated the same way — as a cache miss
 // that falls back to a clean rebuild (and rewrites the file).
 
-// schedCacheVersion is bumped whenever Blueprint's serialized form
+// schedCacheVersion is bumped whenever wireSched's encoded form
 // changes; files carrying any other version are ignored and rebuilt.
-const schedCacheVersion = 1
+const schedCacheVersion = 2
 
-// diskSched is the on-disk envelope around a gob-encoded Blueprint.
+// wireSched is the encoded form of a compile-time Schedule: the fields
+// its builder writes, minus what seal derives (the combined plan and
+// the id).  Only compile-time schedules are persisted, so the kind is
+// implied.  No field name is shared with version 1's top-level fields
+// (Rank, ExecLocal, ExecNonlocal, Arrays), so a version-1 payload
+// fails to decode even under a wrong version header rather than
+// decoding to an empty schedule.
+type wireSched struct {
+	LoopRank        int
+	Local, Nonlocal []iteration
+	In              []*comm.InSet
+	Out             []*comm.OutSet
+}
+
+// diskSched is the on-disk envelope around a gob-encoded wireSched.
 type diskSched struct {
 	Version int
 	KeyFP   uint64
@@ -47,10 +63,10 @@ func (s *SharedStore) cachePath(node int, fp uint64) string {
 	return filepath.Join(s.dir, fmt.Sprintf("sched-n%d-%016x.ksched", node, fp))
 }
 
-// loadDisk revives a persisted blueprint, or returns nil if the file
-// is absent, unreadable, stale-versioned, mismatched, or corrupted —
-// the caller rebuilds in every such case.
-func (s *SharedStore) loadDisk(node int, fp uint64) *Blueprint {
+// loadDisk revives and seals a persisted schedule, or returns nil if
+// the file is absent, unreadable, stale-versioned, mismatched, or
+// corrupted — the caller rebuilds in every such case.
+func (s *SharedStore) loadDisk(node int, fp uint64) *Schedule {
 	raw, err := os.ReadFile(s.cachePath(node, fp))
 	if err != nil {
 		return nil
@@ -65,21 +81,30 @@ func (s *SharedStore) loadDisk(node int, fp uint64) *Blueprint {
 	if payloadSum(ds.Payload) != ds.Sum {
 		return nil
 	}
-	bp := new(Blueprint)
-	if err := gob.NewDecoder(bytes.NewReader(ds.Payload)).Decode(bp); err != nil {
+	var w wireSched
+	if err := gob.NewDecoder(bytes.NewReader(ds.Payload)).Decode(&w); err != nil || len(w.In) != len(w.Out) {
 		return nil
 	}
-	return bp
+	sc := &Schedule{rank: w.LoopRank, kind: BuildCompileTime, execLocal: w.Local, execNonlocal: w.Nonlocal}
+	for k := range w.In {
+		sc.arrays = append(sc.arrays, &arraySched{in: w.In[k], out: w.Out[k]})
+	}
+	return seal(sc)
 }
 
-// saveDisk persists a blueprint.  Failures are silent: persistence is
+// saveDisk persists a schedule.  Failures are silent: persistence is
 // an optimization, and the in-memory store already holds the result.
-func (s *SharedStore) saveDisk(node int, fp uint64, bp *Blueprint) {
+func (s *SharedStore) saveDisk(node int, fp uint64, sc *Schedule) {
 	if err := os.MkdirAll(s.dir, 0o755); err != nil {
 		return
 	}
+	w := wireSched{LoopRank: sc.rank, Local: sc.execLocal, Nonlocal: sc.execNonlocal}
+	for _, as := range sc.arrays {
+		w.In = append(w.In, as.in)
+		w.Out = append(w.Out, as.out)
+	}
 	var payload bytes.Buffer
-	if err := gob.NewEncoder(&payload).Encode(bp); err != nil {
+	if err := gob.NewEncoder(&payload).Encode(&w); err != nil {
 		return
 	}
 	var file bytes.Buffer

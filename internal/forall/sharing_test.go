@@ -139,6 +139,42 @@ func TestScheduleSharingInvalidate(t *testing.T) {
 	})
 }
 
+// TestInvalidateAllStoreSides: InvalidateAll drops the engine's
+// private store along with its name bindings, so without a configured
+// Store the next run rebuilds; a configured Store is shared with other
+// engines and survives, so the next run adopts from it.
+func TestInvalidateAllStoreSides(t *testing.T) {
+	const n, p = 32, 4
+	g := topology.MustGrid(p)
+	d := dist.Must([]int{n}, []dist.DimSpec{dist.BlockDim()}, g)
+	for _, configured := range []bool{false, true} {
+		var store *SharedStore
+		wantKind, wantBuilds, wantStoreHits := BuildCompileTime, 2, 0
+		if configured {
+			store = NewSharedStore(64, "")
+			wantKind, wantBuilds, wantStoreHits = BuildShared, 1, 1
+		}
+		mach := sim.MustNew(p, machine.Ideal())
+		mach.Run(func(nd *machine.Node) {
+			out, src := darray.New("out", d, nd), darray.New("src", d, nd)
+			src.EachLocal(func(i int) { src.Set1(i, float64(i)) })
+			eng := NewEngine(nd)
+			eng.Store = store
+			eng.Run(shiftLoop("la", n, out, src))
+			eng.InvalidateAll()
+			if eng.Schedule("la") != nil || eng.SharedSchedules() != 0 {
+				t.Errorf("configured=%v: InvalidateAll kept a binding or private schedules", configured)
+			}
+			eng.Run(shiftLoop("la", n, out, src))
+			if k := eng.LastBuildKind(); k != wantKind || eng.Builds() != wantBuilds || eng.StoreHits() != wantStoreHits {
+				t.Errorf("configured=%v: rerun after InvalidateAll %v with builds=%d storeHits=%d, want %v, %d, %d",
+					configured, k, eng.Builds(), eng.StoreHits(), wantKind, wantBuilds, wantStoreHits)
+			}
+			checkShiftValues(t, nd, out, n, func(i int) float64 { return float64(i) })
+		})
+	}
+}
+
 // TestScheduleSharingRespectsShape: loops that differ in read affine,
 // distribution, or in how reads alias arrays must not share.
 func TestScheduleSharingRespectsShape(t *testing.T) {

@@ -8,115 +8,31 @@ import (
 	"kali/internal/lru"
 )
 
-// Cross-tenant schedule sharing — the paper's §3.2 reuse argument
-// pushed past one program.  Engine-local sharing (share.go) lets loops
-// of one program adopt each other's compile-time schedules; the
-// SharedStore here lets concurrently running *programs* do the same:
-// many tenants on one machine pool publish blueprints into one
-// content-addressed, sharded, singleflight store, keyed by
-// (node, shareKey).  Only compile-time schedules participate, for the
-// same reason as engine-local sharing — they are pure functions of
-// loop structure — and that restriction is also what makes the
+// The schedule store — the paper's §3.2 reuse argument as one
+// structure.  A compile-time schedule is a pure function of loop
+// structure (share.go), and a sealed Schedule is immutable, so a store
+// holds schedules by pointer and any number of loops and engines adopt
+// them without copying.  Every engine has one: the SharedStore its
+// Store field names, which many tenants on one machine pool share
+// (keyed by (node, shareKey): schedules are per-node), or else a
+// private one it makes itself.  Only compile-time schedules
+// participate, and that restriction is also what makes the
 // singleflight safe: a compile-time build performs no communication,
 // so a tenant blocked waiting for another tenant's build can never be
 // part of a communication cycle.
 
-// Blueprint is the immutable, serializable structural form of a
-// compile-time Schedule: iteration lists plus per-slot in/out range
-// records.  A Schedule itself cannot be shared across concurrently
-// running engines — it carries mutable replay state (receive buffers,
-// pending-request slots) — so the store holds blueprints and each
-// adopting engine instantiates fresh mutable state around one
-// (Engine.instantiate).  The same representation is what schedule
-// persistence writes to disk.
-type Blueprint struct {
-	Rank         int
-	ExecLocal    [][2]int
-	ExecNonlocal [][2]int
-	Arrays       []SlotPlan
-}
+// Store striping: a store of capacity c has
+// clamp(c/storeShardMin, 1, maxStoreShards) shards.  Shard choice is
+// keyFP mod shards, so tenants building different shapes (or the same
+// shape on different nodes) rarely contend on one mutex, while a small
+// store — an engine's private one — is a single exact LRU that evicts
+// only when full.
+const (
+	maxStoreShards = 16
+	storeShardMin  = 256
+)
 
-// SlotPlan is one structural array slot of a Blueprint: the receive
-// and send range records and their element totals.
-type SlotPlan struct {
-	In       []comm.Range
-	InTotal  int
-	Out      []comm.Range
-	OutTotal int
-}
-
-// blueprintOf extracts the immutable structure of a built compile-time
-// schedule.  Range slices are copied: the blueprint outlives the
-// schedule and is shared across tenants, so it must not alias any
-// engine's storage.
-func blueprintOf(s *Schedule) *Blueprint {
-	bp := &Blueprint{Rank: s.rank}
-	bp.ExecLocal = pairsOf(s.execLocal)
-	bp.ExecNonlocal = pairsOf(s.execNonlocal)
-	for _, as := range s.arrays {
-		bp.Arrays = append(bp.Arrays, SlotPlan{
-			In:       append([]comm.Range(nil), as.in.Ranges...),
-			InTotal:  as.in.Total,
-			Out:      append([]comm.Range(nil), as.out.Ranges...),
-			OutTotal: as.out.Total,
-		})
-	}
-	return bp
-}
-
-func pairsOf(its []iteration) [][2]int {
-	if len(its) == 0 {
-		return nil
-	}
-	out := make([][2]int, len(its))
-	for k, it := range its {
-		out[k] = [2]int{it.i, it.j}
-	}
-	return out
-}
-
-func itersOf(pairs [][2]int) []iteration {
-	if len(pairs) == 0 {
-		return nil
-	}
-	out := make([]iteration, len(pairs))
-	for k, p := range pairs {
-		out[k] = iteration{i: p[0], j: p[1]}
-	}
-	return out
-}
-
-// instantiate builds a fresh Schedule around a shared blueprint: new
-// receive buffers, new pending-request slots, a new sid — everything
-// mutable is private to this engine, only the range data is copied
-// from the shared structure.  The result is indistinguishable from a
-// locally built compile-time schedule.
-func (e *Engine) instantiate(bp *Blueprint) *Schedule {
-	s := &Schedule{
-		rank:         bp.Rank,
-		kind:         BuildCompileTime,
-		execLocal:    itersOf(bp.ExecLocal),
-		execNonlocal: itersOf(bp.ExecNonlocal),
-	}
-	for _, sp := range bp.Arrays {
-		as := &arraySched{
-			in:  &comm.InSet{Ranges: append([]comm.Range(nil), sp.In...), Total: sp.InTotal},
-			out: &comm.OutSet{Ranges: append([]comm.Range(nil), sp.Out...), Total: sp.OutTotal},
-		}
-		as.buf = make([]float64, sp.InTotal)
-		s.arrays = append(s.arrays, as)
-	}
-	finalizePeers(s)
-	return s
-}
-
-// storeShards fixes the lock striping of a SharedStore.  Shard choice
-// is keyFP mod storeShards, so tenants building different shapes (or
-// the same shape on different nodes, which differ in storeKey but
-// usually in shard too) rarely contend on one mutex.
-const storeShards = 16
-
-// storeKey identifies one blueprint: schedules are per-node (each node
+// storeKey identifies one schedule: schedules are per-node (each node
 // holds its own slice of the iteration space), so the node id is part
 // of the key alongside the structural shareKey.
 type storeKey struct {
@@ -125,26 +41,26 @@ type storeKey struct {
 }
 
 // inflight is one in-progress build other tenants can wait on: done is
-// closed when the builder finishes, with bp left nil if the build
+// closed when the builder finishes, with s left nil if the build
 // failed (waiters then retry, racing to become the builder).
 type inflight struct {
 	done chan struct{}
-	bp   *Blueprint
+	s    *Schedule
 }
 
 type storeShard struct {
 	mu       sync.Mutex
-	lru      *lru.Cache[storeKey, *Blueprint]
+	lru      *lru.Cache[storeKey, *Schedule]
 	building map[storeKey]*inflight
 }
 
-// SharedStore is the cross-tenant content-addressed schedule store: a
-// sharded, LRU-bounded map from (node, structural key) to Blueprint,
-// with singleflight build coalescing and optional disk persistence.
-// All methods are safe for concurrent use by any number of tenants.
+// SharedStore is a content-addressed schedule store: a sharded,
+// LRU-bounded map from (node, structural key) to sealed Schedule, with
+// singleflight build coalescing and optional disk persistence.  All
+// methods are safe for concurrent use by any number of tenants.
 type SharedStore struct {
 	dir    string
-	shards [storeShards]storeShard
+	shards []storeShard
 
 	hits     atomic.Int64
 	builds   atomic.Int64
@@ -152,23 +68,23 @@ type SharedStore struct {
 	waits    atomic.Int64
 }
 
-// DefaultStoreCap is the blueprint capacity used when NewSharedStore
+// DefaultStoreCap is the schedule capacity used when NewSharedStore
 // is given a nonpositive one.
 const DefaultStoreCap = 4096
 
-// NewSharedStore creates a store bounded to roughly capacity
-// blueprints (split evenly across shards; <= 0 means DefaultStoreCap).
-// A nonempty dir enables schedule persistence: built blueprints are
+// NewSharedStore creates a store bounded to roughly capacity schedules
+// (split evenly across its shards; <= 0 means DefaultStoreCap).  A
+// nonempty dir enables schedule persistence: built schedules are
 // written there, and misses consult the directory before building, so
 // a warm start in a fresh process skips building entirely.
 func NewSharedStore(capacity int, dir string) *SharedStore {
 	if capacity <= 0 {
 		capacity = DefaultStoreCap
 	}
-	per := (capacity + storeShards - 1) / storeShards
-	s := &SharedStore{dir: dir}
+	n := min(max(capacity/storeShardMin, 1), maxStoreShards)
+	s := &SharedStore{dir: dir, shards: make([]storeShard, n)}
 	for i := range s.shards {
-		s.shards[i].lru = lru.New[storeKey, *Blueprint](per)
+		s.shards[i].lru = lru.New[storeKey, *Schedule]((capacity + n - 1) / n)
 		s.shards[i].building = map[storeKey]*inflight{}
 	}
 	return s
@@ -177,31 +93,31 @@ func NewSharedStore(capacity int, dir string) *SharedStore {
 // Dir returns the persistence directory ("" when persistence is off).
 func (s *SharedStore) Dir() string { return s.dir }
 
-// getOrBuild returns the blueprint for (node, key), building it with
+// getOrBuild returns the schedule for (node, key), building it with
 // build exactly once machine-wide however many tenants ask
 // concurrently: the first caller becomes the builder, later callers
 // block on its inflight entry and adopt the result.  hit reports
 // whether the caller avoided building (memory hit, disk hit, or
 // coalesced wait).  If the builder panics, its waiters retry and race
 // to build; the panic propagates to the builder's own node.
-func (s *SharedStore) getOrBuild(node int, key shareKey, build func() *Blueprint) (bp *Blueprint, hit bool) {
+func (s *SharedStore) getOrBuild(node int, key shareKey, build func() *Schedule) (sc *Schedule, hit bool) {
 	fp := key.fingerprint()
-	sh := &s.shards[fp%storeShards]
+	sh := &s.shards[fp%uint64(len(s.shards))]
 	k := storeKey{node: node, key: key}
 	for {
 		sh.mu.Lock()
-		if bp, ok := sh.lru.Get(k); ok {
+		if sc, ok := sh.lru.Get(k); ok {
 			sh.mu.Unlock()
 			s.hits.Add(1)
-			return bp, true
+			return sc, true
 		}
 		if fl, ok := sh.building[k]; ok {
 			sh.mu.Unlock()
 			<-fl.done
-			if fl.bp != nil {
+			if fl.s != nil {
 				s.hits.Add(1)
 				s.waits.Add(1)
-				return fl.bp, true
+				return fl.s, true
 			}
 			continue // builder failed; race to take over
 		}
@@ -216,39 +132,39 @@ func (s *SharedStore) getOrBuild(node int, key shareKey, build func() *Blueprint
 			defer func() {
 				sh.mu.Lock()
 				delete(sh.building, k)
-				if bp != nil {
-					sh.lru.Put(k, bp)
+				if sc != nil {
+					sh.lru.Put(k, sc)
 				}
 				sh.mu.Unlock()
-				fl.bp = bp
+				fl.s = sc
 				close(fl.done)
 			}()
 			if s.dir != "" {
-				bp = s.loadDisk(node, fp)
-				fromDisk = bp != nil
+				sc = s.loadDisk(node, fp)
+				fromDisk = sc != nil
 			}
-			if bp == nil {
-				bp = build()
-				if bp != nil && s.dir != "" {
-					s.saveDisk(node, fp, bp)
+			if sc == nil {
+				sc = build()
+				if sc != nil && s.dir != "" {
+					s.saveDisk(node, fp, sc)
 				}
 			}
 		}()
 		if fromDisk {
 			s.diskHits.Add(1)
-			return bp, true
+			return sc, true
 		}
 		s.builds.Add(1)
-		return bp, false
+		return sc, false
 	}
 }
 
 // StoreStats is a point-in-time snapshot of a SharedStore.
 type StoreStats struct {
-	// Hits counts adoptions of an already-present blueprint (including
+	// Hits counts adoptions of an already-present schedule (including
 	// Waits, the subset that blocked on another tenant's in-progress
 	// build instead of duplicating it); Builds counts actual builds;
-	// DiskHits counts blueprints revived from the persistence
+	// DiskHits counts schedules revived from the persistence
 	// directory.
 	Hits     int64
 	Builds   int64

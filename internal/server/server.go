@@ -2,13 +2,12 @@
 // shared schedule infrastructure — a multi-tenant version of the
 // paper's runtime.  The paper's central artifact is the compiled
 // communication schedule (§3.2): a pure function of loop structure and
-// distribution, built once and replayed.  Within one program the
-// engine's caches capture that reuse; this package extends it across
-// programs.  Tenants draw simulated machines from a bounded pool, and
-// every run's forall engines consult one forall.SharedStore, so a
-// schedule built by any tenant is adopted (not rebuilt) by every later
-// tenant with the same loop structure, and persisted blueprints let a
-// restarted server warm-start with zero builds.
+// distribution, built once and replayed.  This package extends the
+// reuse across programs: tenants share a bounded machine pool, and all
+// their forall engines use one forall.SharedStore, so a schedule built
+// by any tenant is adopted — the same immutable *Schedule — by every
+// later loop and tenant with the same loop structure, and persisted
+// schedules let a restarted server warm-start with zero builds.
 package server
 
 import (
@@ -33,11 +32,11 @@ type Config struct {
 	Params machine.Params
 	// Backend selects the node runtime ("sim" default, "wall").
 	Backend string
-	// CacheDir, when non-empty, persists compiled schedule blueprints
-	// to disk so a future server on the same directory warm-starts
-	// without building.
+	// CacheDir, when non-empty, persists compiled schedules to disk
+	// so a future server on the same directory warm-starts without
+	// building.
 	CacheDir string
-	// StoreCap bounds the shared store's in-memory blueprint count
+	// StoreCap bounds the shared store's in-memory schedule count
 	// (default forall.DefaultStoreCap).
 	StoreCap int
 	// NoOverlap/NoFuse ablate tenant engines exactly as core.Config.

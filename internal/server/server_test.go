@@ -13,9 +13,9 @@ import (
 
 // tenantResult is what one tenant observed: the gathered array and the
 // structural half of the report.  Simulated times are deliberately
-// excluded — adopting a schedule from the store charges instantiation
-// cost instead of build cost, so times depend on which tenant wins the
-// build race; contents and traffic must not.
+// excluded — the tenant that builds a schedule pays the build cost and
+// the ones that adopt it do not, so times depend on which tenant wins
+// the build race; contents and traffic must not.
 type tenantResult struct {
 	out   []float64
 	msgs  int
@@ -189,7 +189,7 @@ func TestConcurrentChurn(t *testing.T) {
 	var wg sync.WaitGroup
 	// Perturbers: redistribute block→cyclic→block mid-run, invalidate
 	// their schedule cache between sweeps, and cycle through distinct
-	// bounds so blueprints keep entering (and evicting from) the store.
+	// bounds so schedules keep entering (and evicting from) the store.
 	for k := 0; k < K; k++ {
 		wg.Add(1)
 		go func(k int) {
